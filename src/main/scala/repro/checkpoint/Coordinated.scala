@@ -79,17 +79,15 @@ final class Coordinated extends Protocol {
       case Some(r) =>
         require(r == round, s"marker for round $round while aligning round $r at ${inst.id}")
     }
-    inst.blocked += channel
-    inst.markedChannels += channel
-    if (inst.markedChannels.size == inst.inCh.size) {
+    inst.block(channel)
+    if (inst.allInputsBlocked) {
       // Alignment complete: snapshot, forward markers, unblock.
       val alignDur = now - inst.alignStart
       if (now >= rt.cfg.warmupMicros && now <= rt.cfg.endMicros)
         rt.metrics.alignMicros += alignDur
       rt.checkpointNow(inst.id, CoordinatedCkpt(round))
       rt.sendMarkers(inst.id, round)
-      inst.blocked.clear()
-      inst.markedChannels.clear()
+      inst.unblockAll()
       inst.aligningRound = None
     }
   }

@@ -1,5 +1,8 @@
 package repro.dataflow
 
+import scala.collection.immutable.ArraySeq
+import scala.collection.mutable
+
 /** How an edge routes an emitted record to the parallel instances of the
   * downstream operator.
   */
@@ -83,8 +86,6 @@ final case class Graph(ops: Seq[OperatorSpec], edges: Seq[Edge], parallelism: In
   }
 
   def op(name: String): OperatorSpec = byName(name)
-  def outEdges(op: String): Seq[Edge] = edges.filter(_.from == op)
-  def inEdges(op: String): Seq[Edge]  = edges.filter(_.to == op)
 
   def instances: Seq[InstanceId] =
     for (o <- ops; i <- 0 until parallelism) yield InstanceId(o.name, i)
@@ -98,17 +99,18 @@ final case class Graph(ops: Seq[OperatorSpec], edges: Seq[Edge], parallelism: In
         yield ChannelId(InstanceId(e.from, i), InstanceId(e.to, j))
   }
 
-  /** Physical input channels of an instance (dedup'd across parallel edges). */
-  def inChannels(id: InstanceId): Seq[ChannelId] =
-    inEdges(id.op).flatMap(channelsOf).filter(_.to == id).distinct
+  /** Dense channel tables, built once on first use. */
+  lazy val wiring: Wiring = Wiring(this)
 
-  def outChannels(id: InstanceId): Seq[ChannelId] =
-    outEdges(id.op).flatMap(channelsOf).filter(_.from == id).distinct
+  /** Physical input channels of an instance (dedup'd across parallel edges). */
+  def inChannels(id: InstanceId): Seq[ChannelId] = wiring.inCh(wiring.index(id))
+
+  def outChannels(id: InstanceId): Seq[ChannelId] = wiring.outCh(wiring.index(id))
 
   /** Whether the logical graph contains a cycle (COOR refuses these). */
   def isCyclic: Boolean = {
     val adj = edges.groupBy(_.from).view.mapValues(_.map(_.to)).toMap
-    val color = scala.collection.mutable.Map.empty[String, Int] // 0 white 1 grey 2 black
+    val color = mutable.Map.empty[String, Int] // 0 white 1 grey 2 black
     def dfs(u: String): Boolean = {
       color(u) = 1
       val bad = adj.getOrElse(u, Nil).exists { v =>
@@ -128,9 +130,82 @@ final case class Graph(ops: Seq[OperatorSpec], edges: Seq[Edge], parallelism: In
   def route(e: Edge, fromIdx: Int, value: Any): Seq[Int] = e.part match {
     case ForwardPart   => Seq(fromIdx)
     case BroadcastPart => 0 until parallelism
-    case HashPart =>
-      val k = e.key(value)
-      val h = scala.util.hashing.byteswap64(k)
-      Seq((math.floorMod(h, parallelism.toLong)).toInt)
+    case HashPart      => Seq(hashTarget(e, value))
+  }
+
+  /** Target subtask of a record on a [[HashPart]] edge. */
+  def hashTarget(e: Edge, value: Any): Int =
+    math.floorMod(scala.util.hashing.byteswap64(e.key(value)), parallelism.toLong).toInt
+}
+
+/** One out-edge of a sender instance: `outIdx(j)` is the sender's index of
+  * its channel to subtask `j` of `edge.to` (-1 where the edge has none).
+  */
+final class Route(val edge: Edge, val outIdx: Array[Int])
+
+/** Dense channel tables of a [[Graph]].
+  *
+  * Instance `g` is `instances(g)`. Its input and output channels are
+  * numbered in edge order, first occurrence first, so a channel that two
+  * parallel edges both create gets one index, and the order is the one a
+  * per-instance scan of the edges gives. Every channel is a single
+  * [[ChannelId]] object, shared by the sender's and the receiver's tables.
+  *
+  * @param inCh    input channels of instance `g`
+  * @param outCh   output channels of instance `g`
+  * @param routes  out-edges of instance `g`, in edge order
+  * @param peer    instance that out-channel `k` of instance `g` ends at
+  * @param peerIn  index of that channel among the inputs of `peer(g)(k)`
+  */
+final class Wiring private (
+    val instances: IndexedSeq[InstanceId],
+    opPos: Map[String, Int],
+    parallelism: Int,
+    val inCh: Array[IndexedSeq[ChannelId]],
+    val outCh: Array[IndexedSeq[ChannelId]],
+    val routes: Array[Array[Route]],
+    val peer: Array[Array[Int]],
+    val peerIn: Array[Array[Int]],
+) {
+  /** Dense index of an instance: operator-major, as [[Graph.instances]]. */
+  def index(id: InstanceId): Int = opPos(id.op) * parallelism + id.idx
+}
+
+object Wiring {
+  /** Build the tables in one pass over each edge's channels: O(channels),
+    * where a scan of every edge per instance would be O(instances x channels).
+    */
+  def apply(graph: Graph): Wiring = {
+    val p = graph.parallelism
+    val opPos = graph.ops.map(_.name).zipWithIndex.toMap
+    val instances = graph.instances.toIndexedSeq
+    val n = instances.size
+    val ins  = Array.fill(n)(mutable.ArrayBuffer.empty[ChannelId])
+    val outs = Array.fill(n)(mutable.ArrayBuffer.empty[ChannelId])
+    val inPos  = mutable.HashMap.empty[ChannelId, Int]
+    val outPos = mutable.HashMap.empty[ChannelId, Int]
+    val routes = Array.fill(n)(mutable.ArrayBuffer.empty[Route])
+    for (e <- graph.edges) {
+      val fromBase = opPos(e.from) * p
+      val toBase = opPos(e.to) * p
+      val targets = Array.fill(p)(Array.fill(p)(-1))
+      for (c <- graph.channelsOf(e)) {
+        val out = outs(fromBase + c.from.idx)
+        val k = outPos.getOrElseUpdate(c, { out += c; out.length - 1 })
+        val ch = out(k)
+        inPos.getOrElseUpdate(ch, {
+          val in = ins(toBase + ch.to.idx)
+          in += ch
+          in.length - 1
+        })
+        targets(ch.from.idx)(ch.to.idx) = k
+      }
+      for (i <- 0 until p) routes(fromBase + i) += new Route(e, targets(i))
+    }
+    new Wiring(instances, opPos, p,
+      inCh = ins.map(ArraySeq.from(_)), outCh = outs.map(ArraySeq.from(_)),
+      routes = routes.map(_.toArray),
+      peer = outs.map(_.map(ch => opPos(ch.to.op) * p + ch.to.idx).toArray),
+      peerIn = outs.map(_.map(inPos).toArray))
   }
 }

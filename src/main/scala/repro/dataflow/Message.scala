@@ -1,15 +1,25 @@
 package repro.dataflow
 
+import scala.util.hashing.MurmurHash3
+
 /** A parallel instance of a logical operator: `op` is the operator name,
   * `idx` its parallel subtask index (0-based). One instance of every
   * logical operator runs on worker `idx`, as in the paper's testbed.
+  *
+  * The hash code is computed once; it equals the case-class default, so
+  * hash-map iteration orders (and with them the event sequence) do not
+  * change.
   */
 final case class InstanceId(op: String, idx: Int) {
+  override val hashCode: Int = MurmurHash3.productHash(this)
   override def toString: String = s"$op[$idx]"
 }
 
-/** A directed FIFO channel between two operator instances. */
+/** A directed FIFO channel between two operator instances. Its hash code
+  * is cached like [[InstanceId]]'s.
+  */
 final case class ChannelId(from: InstanceId, to: InstanceId) {
+  override val hashCode: Int = MurmurHash3.productHash(this)
   override def toString: String = s"$from->$to"
 }
 
@@ -52,7 +62,9 @@ final case class Msg(
     srcTs: Long,
 ) {
   /** Total bytes on the wire, incl. a fixed frame and any piggyback. */
-  def wireBytes: Int = Msg.FrameBytes + payloadBytes + piggyback.map(_.bytes).getOrElse(0)
+  def wireBytes: Int = Msg.FrameBytes + payloadBytes + piggybackBytes
+  /** Wire size of the piggyback, 0 without one. */
+  def piggybackBytes: Int = if (piggyback.isEmpty) 0 else piggyback.get.bytes
 }
 
 object Msg {

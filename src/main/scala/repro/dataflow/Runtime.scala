@@ -37,11 +37,23 @@ final class Runtime(
   private val LagThresholdMicros = 300_000L
   private val MarkerCostMicros   = 5L
 
-  private val insts: Map[InstanceId, Instance] = graph.instances.map { id =>
+  private val wiring = graph.wiring
+
+  /** Every instance, by its dense index in `wiring`. */
+  private val nodes: Array[Instance] = wiring.instances.indices.map { g =>
+    val id = wiring.instances(g)
     val spec = graph.op(id.op)
-    id -> new Instance(id, spec, spec.logic(), graph.inChannels(id).toIndexedSeq,
-      graph.outChannels(id).toIndexedSeq)
-  }.toMap
+    new Instance(g, id, spec, spec.logic(), wiring.inCh(g), wiring.outCh(g))
+  }.toArray
+
+  /** Lookup by id. Its iteration order, fixed by the ids' hash codes, is
+    * the order of the Wake events that start and resume a run, so it is
+    * part of the event sequence.
+    */
+  private val insts: Map[InstanceId, Instance] = nodes.iterator.map(i => i.id -> i).toMap
+
+  /** Source input of every instance, by dense index (empty for non-sources). */
+  private val srcEvents: Array[IndexedSeq[SourceEvent]] = nodes.map(i => input.events(i.id))
 
   def instance(id: InstanceId): Instance = insts(id)
   def allInstances: Iterable[Instance]   = insts.values
@@ -57,7 +69,7 @@ final class Runtime(
   private def writeInitialCheckpoints(): Unit =
     insts.values.foreach { inst =>
       store.put(CkptMeta(inst.id, 0, InitialCkpt, 0L, 0L, 0L, inst.logic.snapshot(),
-        inst.lastSent.toMap, inst.lastReceived.toMap, 0L, counted = false, syncMicros = 0L))
+        inst.sentVector, inst.receivedVector, 0L, counted = false, syncMicros = 0L))
     }
 
   // ------------------------------------------------------------- main loop
@@ -68,28 +80,25 @@ final class Runtime(
     protocol.init(this)
     protocol.onStart()
     insts.values.foreach { inst =>
-      if (inst.spec.isSource) {
-        val evs = input.events(inst.id)
-        if (evs.nonEmpty) queue.schedule(evs.head.ts, Wake(inst.id))
-      }
+      val evs = srcEvents(inst.index)
+      if (inst.spec.isSource && evs.nonEmpty) queue.schedule(evs.head.ts, inst.wake)
     }
     cfg.failAbs.foreach { t =>
       require(t < cfg.endMicros, "failure must be injected before the end of the run")
       queue.schedule(t, InjectFailure)
     }
     while (queue.nonEmpty && queue.peekTime <= cfg.endMicros) {
-      val (t, action) = queue.pop()
-      clock = t
-      dispatch(action)
+      clock = queue.peekTime
+      dispatch(queue.popAction())
     }
     this
   }
 
   private def dispatch(action: SimAction): Unit = action match {
-    case Deliver(msg) =>
-      val inst = insts(msg.channel.to)
-      val q = inst.inbox(msg.channel)
-      q.enqueue((clock, msg))
+    case Deliver(msg, to, inIdx) =>
+      val inst = nodes(to)
+      val q = inst.inbox(inIdx)
+      q.enqueue(clock, msg)
       if (q.size > metrics.maxQueuedMessages) metrics.maxQueuedMessages = q.size
       tryStart(inst)
     case Wake(id) => tryStart(insts(id))
@@ -109,45 +118,42 @@ final class Runtime(
       case Some(kind) =>
         inst.pendingCkpt = None
         performCheckpoint(inst, kind)
-        queue.schedule(inst.busyUntil, Wake(inst.id))
+        queue.schedule(inst.busyUntil, inst.wake)
         return
       case None => ()
     }
-    val chWork = inst.nextChannelWork
-    val srcTs: Option[Long] =
-      if (inst.spec.isSource) {
-        val evs = input.events(inst.id)
-        if (inst.srcOffset < evs.length) Some(evs(inst.srcOffset.toInt).ts) else None
-      } else None
+    val k = inst.nextChannel
+    val evs = srcEvents(inst.index)
+    val hasSrc = inst.spec.isSource && inst.srcOffset < evs.length
+    val ts = if (hasSrc) evs(inst.srcOffset.toInt).ts else 0L
 
-    (chWork, srcTs) match {
-      case (Some((arr, ch)), s) if s.forall(ts => arr <= math.max(ts, clock)) =>
-        processChannel(inst, ch)
-      case (_, Some(ts)) if ts <= clock =>
-        processSource(inst)
-      case (None, Some(ts)) =>
-        queue.schedule(ts, Wake(inst.id)) // source event in the future
-      case _ => () // idle: blocked or empty; a Deliver will wake us
-    }
+    if (k >= 0 && (!hasSrc || inst.inbox(k).headArrival <= math.max(ts, clock)))
+      processChannel(inst, k)
+    else if (hasSrc && ts <= clock)
+      processSource(inst)
+    else if (k < 0 && hasSrc)
+      queue.schedule(ts, inst.wake) // source event in the future
+    // else idle: blocked or empty; a Deliver will wake us
   }
 
   private def processSource(inst: Instance): Unit = {
-    val ev = input.events(inst.id)(inst.srcOffset.toInt)
+    val ev = srcEvents(inst.index)(inst.srcOffset.toInt)
     inst.srcOffset += 1
     if (clock - ev.ts > LagThresholdMicros && clock > metrics.lastLaggedAt)
       metrics.lastLaggedAt = clock
     applyRecord(inst, ev.value, fromOp = "", srcTs = ev.ts, start = clock, extraCost = 0L)
-    queue.schedule(inst.busyUntil, Wake(inst.id))
+    queue.schedule(inst.busyUntil, inst.wake)
   }
 
-  private def processChannel(inst: Instance, ch: ChannelId): Unit = {
-    val (_, msg) = inst.inbox(ch).dequeue()
+  /** Process the oldest message of input channel `k`. */
+  private def processChannel(inst: Instance, k: Int): Unit = {
+    val msg = inst.inbox(k).dequeue()
     msg.kind match {
       case Marker(round) =>
         inst.busyUntil = clock + MarkerCostMicros
-        protocol.onMarker(inst, ch, round, clock)
+        protocol.onMarker(inst, msg.channel, round, clock)
       case Data =>
-        if (msg.seq <= inst.lastReceived(ch)) {
+        if (msg.seq <= inst.lastReceived(k)) {
           metrics.dedupDropped += 1
           inst.busyUntil = clock + 1
         } else {
@@ -159,16 +165,17 @@ final class Runtime(
             performCheckpoint(inst, ForcedCkpt)
             start = inst.busyUntil
           }
-          if (msg.seq != inst.lastReceived(ch) + 1) metrics.eoViolations += 1
-          inst.lastReceived(ch) = msg.seq
+          if (msg.seq != inst.lastReceived(k) + 1) metrics.eoViolations += 1
+          inst.lastReceived(k) = msg.seq
           applyRecord(inst, msg.value, msg.channel.from.op, msg.srcTs, start,
             extraCost = cfg.serdeMicros(msg.wireBytes))
         }
     }
-    queue.schedule(inst.busyUntil, Wake(inst.id))
+    queue.schedule(inst.busyUntil, inst.wake)
   }
 
   private val emitBuf = mutable.ArrayBuffer.empty[Any]
+  private val emit: Any => Unit = v => emitBuf += v
 
   private def applyRecord(inst: Instance, value: Any, fromOp: String, srcTs: Long,
       start: Long, extraCost: Long): Unit = {
@@ -182,13 +189,26 @@ final class Runtime(
     } else {
       metrics.processedRecords += 1
       emitBuf.clear()
-      inst.logic.onRecord(value, fromOp, emitBuf += _)
+      inst.logic.onRecord(value, fromOp, emit)
+      val routes = wiring.routes(inst.index)
       var i = 0
       while (i < emitBuf.length) {
         val v = emitBuf(i)
-        for (e <- graph.outEdges(inst.id.op) if e.select(v); tgt <- graph.route(e, inst.id.idx, v)) {
-          val ch = ChannelId(inst.id, InstanceId(e.to, tgt))
-          busy = send(inst, ch, v, srcTs, busy)
+        var r = 0
+        while (r < routes.length) {
+          val e = routes(r).edge
+          val outIdx = routes(r).outIdx
+          if (e.select(v)) e.part match {
+            case ForwardPart => busy = send(inst, outIdx(inst.id.idx), v, srcTs, busy)
+            case HashPart    => busy = send(inst, outIdx(graph.hashTarget(e, v)), v, srcTs, busy)
+            case BroadcastPart =>
+              var tgt = 0
+              while (tgt < outIdx.length) {
+                busy = send(inst, outIdx(tgt), v, srcTs, busy)
+                tgt += 1
+              }
+          }
+          r += 1
         }
         i += 1
       }
@@ -196,22 +216,30 @@ final class Runtime(
     inst.busyUntil = busy
   }
 
-  /** Serialize + transmit one data message; returns the sender's new busy time. */
-  private def send(inst: Instance, ch: ChannelId, value: Any, srcTs: Long, at: Long): Long = {
-    val seq = inst.lastSent(ch) + 1
-    inst.lastSent(ch) = seq
+  /** Serialize + transmit one data message on out-channel `k`; returns the
+    * sender's new busy time.
+    */
+  private def send(inst: Instance, k: Int, value: Any, srcTs: Long, at: Long): Long = {
+    val ch = inst.outCh(k)
+    val seq = inst.lastSent(k) + 1
+    inst.lastSent(k) = seq
     val piggy = protocol.piggybackFor(inst.id, ch, at)
     val msg = Msg(ch, seq, Data, value, Sizer.bytes(value), piggy, srcTs)
     val newBusy = at + cfg.serdeMicros(msg.wireBytes)
     if (at >= cfg.warmupMicros && at <= cfg.endMicros) {
       metrics.dataBytes += Msg.FrameBytes + msg.payloadBytes
       metrics.dataMessages += 1
-      metrics.protoBytes += piggy.map(_.bytes.toLong).getOrElse(0L)
+      metrics.protoBytes += msg.piggybackBytes
     }
     if (protocol.logsMessages) log.append(msg)
-    queue.schedule(newBusy + cfg.netLatencyMicros, Deliver(msg))
+    transmit(inst, k, msg, newBusy)
     newBusy
   }
+
+  /** Put `msg` on out-channel `k` of `inst` at `departure`. */
+  private def transmit(inst: Instance, k: Int, msg: Msg, departure: Long): Unit =
+    queue.schedule(departure + cfg.netLatencyMicros,
+      Deliver(msg, wiring.peer(inst.index)(k), wiring.peerIn(inst.index)(k)))
 
   // ---------------------------------------------------------- checkpoints
 
@@ -219,7 +247,7 @@ final class Runtime(
     val inst = insts(id)
     if (inst.isIdleAt(clock) && inst.pendingCkpt.isEmpty) {
       performCheckpoint(inst, kind)
-      queue.schedule(inst.busyUntil, Wake(inst.id))
+      queue.schedule(inst.busyUntil, inst.wake)
     } else if (inst.pendingCkpt.isEmpty) {
       inst.pendingCkpt = Some(kind)
     }
@@ -239,7 +267,7 @@ final class Runtime(
     val takenAt = startAt + sync
     val durableAt = takenAt + cfg.uploadMicros(bytes)
     val meta = CkptMeta(inst.id, inst.nextCkptIdx, kind, takenAt, durableAt, bytes,
-      inst.logic.snapshot(), inst.lastSent.toMap, inst.lastReceived.toMap, inst.srcOffset,
+      inst.logic.snapshot(), inst.sentVector, inst.receivedVector, inst.srcOffset,
       counted = inst.spec.counted, syncMicros = sync)
     inst.nextCkptIdx += 1
     inst.busyUntil = takenAt
@@ -254,11 +282,11 @@ final class Runtime(
   def sendMarkers(id: InstanceId, round: Int): Unit = {
     val inst = insts(id)
     val departure = math.max(clock, inst.busyUntil)
-    inst.outCh.foreach { ch =>
-      val msg = Msg(ch, 0L, Marker(round), null, 0, None, departure)
+    for (k <- inst.outCh.indices) {
+      val msg = Msg(inst.outCh(k), 0L, Marker(round), null, 0, None, departure)
       if (departure >= cfg.warmupMicros && departure <= cfg.endMicros)
         metrics.protoBytes += Msg.MarkerBytes
-      queue.schedule(departure + cfg.netLatencyMicros, Deliver(msg))
+      transmit(inst, k, msg, departure)
     }
   }
 
@@ -295,19 +323,20 @@ final class Runtime(
     insts.values.foreach { inst =>
       val meta = plan.line(inst.id)
       inst.logic.restore(meta.snapshot)
-      inst.lastSent.clear();     inst.lastSent ++= meta.lastSent
-      // Channels absent from an old checkpoint default to seq 0.
-      inst.inCh.foreach(c => inst.lastReceived(c) = meta.lastReceived.getOrElse(c, 0L))
-      inst.outCh.foreach(c => if (!inst.lastSent.contains(c)) inst.lastSent(c) = 0L)
+      inst.restoreVectors(meta.lastSent, meta.lastReceived)
       inst.srcOffset = meta.srcOffset
       inst.busyUntil = clock
     }
     // Re-deliver logged in-flight messages, per channel in seq order, ahead
     // of any regenerated traffic (regeneration needs >= one service time).
-    plan.replay.toSeq.sortBy(_._1.toString).foreach { case (_, msgs) =>
-      msgs.zipWithIndex.foreach { case (m, i) => queue.schedule(clock + 1 + i, Deliver(m)) }
+    plan.replay.toSeq.sortBy(_._1.toString).foreach { case (ch, msgs) =>
+      val to = wiring.index(ch.to)
+      val inIdx = nodes(to).inIndex(ch)
+      msgs.zipWithIndex.foreach { case (m, i) =>
+        queue.schedule(clock + 1 + i, Deliver(m, to, inIdx))
+      }
     }
-    insts.values.foreach(inst => queue.schedule(clock + 1, Wake(inst.id)))
+    insts.values.foreach(inst => queue.schedule(clock + 1, inst.wake))
     protocol.afterResume(clock)
   }
 
@@ -319,6 +348,5 @@ final class Runtime(
       .map(i => input.events(i.id).length - i.srcOffset).sum
 
   /** Messages still queued in instance inboxes at the end of the run. */
-  def queuedMessagesAtEnd: Long =
-    insts.values.flatMap(_.inbox.values).map(_.size.toLong).sum
+  def queuedMessagesAtEnd: Long = nodes.iterator.map(_.queuedMessages).sum
 }

@@ -87,7 +87,36 @@ class ComponentsSpec extends AnyFunSuite {
 
   test("instance state bytes include channel metadata; uncounted ops stay near zero") {
     val spec = OperatorSpec("x", () => new repro.queries.PassThrough, stateful = false)
-    val inst = new Instance(InstanceId("x", 0), spec, spec.logic(), IndexedSeq(ab), IndexedSeq())
+    val inst = new Instance(0, InstanceId("x", 0), spec, spec.logic(), IndexedSeq(ab), IndexedSeq())
     assert(inst.stateBytes < 64)
+  }
+
+  test("ids cache hash codes equal to the case-class defaults") {
+    // Hash-map iteration orders, and through them the event sequence,
+    // depend on these exact values (recorded from the synthesized hashCode).
+    assert(InstanceId("src", 0).hashCode == 1165894175)
+    assert(InstanceId("sink", 7).hashCode == 537497277)
+    assert(InstanceId("join", 49).hashCode == -149504327)
+    assert(ChannelId(InstanceId("src", 0), InstanceId("sink", 7)).hashCode == 210714958)
+  }
+
+  test("inbox is a FIFO across wrap-around and growth") {
+    val inbox = new Inbox
+    val model = scala.collection.mutable.Queue.empty[(Long, Msg)]
+    val rnd = new scala.util.Random(5)
+    var seq = 0L
+    (0 until 2000).foreach { _ =>
+      if (model.isEmpty || rnd.nextInt(5) < 3) {
+        seq += 1
+        inbox.enqueue(seq * 10, msg(seq))
+        model.enqueue((seq * 10, msg(seq)))
+      } else {
+        assert(inbox.headArrival == model.head._1)
+        assert(inbox.dequeue() == model.dequeue()._2)
+      }
+      assert(inbox.size == model.size)
+    }
+    inbox.clear()
+    assert(inbox.isEmpty)
   }
 }

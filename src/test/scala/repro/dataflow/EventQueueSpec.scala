@@ -1,6 +1,9 @@
 package repro.dataflow
 
+import org.scalacheck.{Gen, Prop, Test}
+import org.scalacheck.util.Pretty
 import org.scalatest.funsuite.AnyFunSuite
+import scala.collection.mutable
 import scala.util.Random
 
 class EventQueueSpec extends AnyFunSuite {
@@ -53,5 +56,72 @@ class EventQueueSpec extends AnyFunSuite {
         last = t
       }
     }
+  }
+
+  // ------------------------------------------------- property vs a model
+
+  private sealed trait Op
+  private final case class Schedule(time: Long) extends Op
+  private case object Pop   extends Op
+  private case object Clear extends Op
+
+  /** Mostly schedules over few distinct times (many ties) and enough pops
+    * to interleave. Half the scripts clear now and then; long scripts of
+    * the other half outgrow the heap's initial capacity.
+    */
+  private val ops: Gen[List[Op]] = for {
+    n      <- Gen.choose(0, 6 * EventQueue.InitialCapacity)
+    clears <- Gen.oneOf(0, 1)
+    ops    <- Gen.listOfN(n, Gen.frequency(
+      60     -> Gen.choose(0L, 20L).map(Schedule(_)),
+      30     -> Gen.const(Pop),
+      clears -> Gen.const(Clear)))
+  } yield ops
+
+  test("random schedule/pop/clear interleavings pop in the model's (time, insertion) order") {
+    var maxSize = 0
+    var scheduledAfterClear = false
+    val prop = Prop.forAll(ops) { script =>
+      val q = new EventQueue
+      // Reference: pending (time, insertion number), popped by a stable sort.
+      val model = mutable.ArrayBuffer.empty[(Long, Int)]
+      var inserted = 0
+      var cleared = false
+      script.forall {
+        case Schedule(t) =>
+          q.schedule(t, Wake(InstanceId("e", inserted)))
+          model += ((t, inserted))
+          inserted += 1
+          scheduledAfterClear ||= cleared
+          maxSize = math.max(maxSize, q.size)
+          q.size == model.size
+        case Pop if model.isEmpty => q.isEmpty
+        case Pop =>
+          // The buffer is in insertion order, so the first minimum is stable.
+          val expected = model(model.indices.minBy(i => model(i)._1))
+          model -= expected
+          val peeked = q.peekTime
+          val (t, action) = q.pop()
+          peeked == expected._1 && t == expected._1 &&
+            action == Wake(InstanceId("e", expected._2)) && q.size == model.size
+        case Clear =>
+          q.clear()
+          model.clear()
+          cleared = true
+          q.isEmpty && !q.nonEmpty
+      }
+    }
+    val result = Test.check(Test.Parameters.default.withMinSuccessfulTests(200), prop)
+    assert(result.passed, Pretty.pretty(result))
+    assert(maxSize > EventQueue.InitialCapacity, "no script outgrew the initial capacity")
+    assert(scheduledAfterClear, "no script scheduled after a clear")
+  }
+
+  test("popping an empty queue fails loudly") {
+    val q = new EventQueue
+    q.schedule(1, InjectFailure)
+    q.pop()
+    intercept[NoSuchElementException](q.pop())
+    intercept[NoSuchElementException](q.peekTime)
   }
 }

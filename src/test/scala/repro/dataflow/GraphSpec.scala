@@ -33,6 +33,26 @@ class GraphSpec extends AnyFunSuite {
     assert(g.outChannels(b0) == Seq(ChannelId(b0, InstanceId("c", 0))))
   }
 
+  test("one-pass wiring equals a per-instance scan of the edges, parallel edges included") {
+    val reach = Reachability(ReachConfig(100, 10, 1_000_000L)).graph(3)
+    for (g <- Seq(lin(3), reach, Q3.graph(4))) {
+      val w = g.wiring
+      assert(w.instances == g.instances)
+      for ((id, i) <- g.instances.zipWithIndex) {
+        assert(w.index(id) == i)
+        val in = g.edges.filter(_.to == id.op).flatMap(g.channelsOf).filter(_.to == id).distinct
+        val out = g.edges.filter(_.from == id.op).flatMap(g.channelsOf).filter(_.from == id).distinct
+        assert(w.inCh(i) == in && w.outCh(i) == out)
+        for (k <- out.indices)
+          assert(w.inCh(w.peer(i)(k))(w.peerIn(i)(k)) eq w.outCh(i)(k), "one object per channel")
+        val outEdges = g.edges.filter(_.from == id.op)
+        assert(w.routes(i).map(_.edge).toSeq == outEdges)
+        for (r <- w.routes(i); t <- 0 until g.parallelism; k = r.outIdx(t) if k >= 0)
+          assert(w.outCh(i)(k) == ChannelId(id, InstanceId(r.edge.to, t)))
+      }
+    }
+  }
+
   test("hash routing is deterministic and in range") {
     val g = lin(7)
     val e = g.edges.head

@@ -62,8 +62,8 @@ class RuntimeBasicSpec extends AnyFunSuite {
   test("per-channel sequences are contiguous at every instance after a run") {
     val (rt, _) = smallRun("UNC")
     rt.allInstances.foreach { inst =>
-      inst.inCh.foreach { ch =>
-        assert(inst.inbox(ch).isEmpty, s"undrained inbox $ch")
+      inst.inCh.indices.foreach { k =>
+        assert(inst.inbox(k).isEmpty, s"undrained inbox ${inst.inCh(k)}")
       }
     }
   }
