@@ -22,16 +22,7 @@ class Table1Bench extends AnyFunSuite {
       "Forced checkpoints"      -> Seq(false, false, true),
     )
     val protos = Tables.Protocols.map(repro.core.Experiment.protocolFor)
-    val rows: Map[String, repro.checkpoint.ProtocolFeatures => Boolean] = Map(
-      "Blocking (markers)"      -> (_.blockingMarkers),
-      "In-flight logging"       -> (_.inFlightLogging),
-      "Deduplication required"  -> (_.deduplicationRequired),
-      "Message overhead"        -> (_.messageOverhead),
-      "Independent checkpoints" -> (_.independentCheckpoints),
-      "Straggler stalls"        -> (_.stragglerStalls),
-      "Unused checkpoints"      -> (_.unusedCheckpoints),
-      "Forced checkpoints"      -> (_.forcedCheckpoints),
-    )
+    val rows = Tables.Table1Rows.toMap
     for ((label, exp) <- expected)
       assert(protos.map(p => rows(label)(p.features)) == exp, label)
   }

@@ -139,25 +139,27 @@ object Tables {
     sb.result()
   }
 
+  /** Table I's rows, in the paper's order: label and the feature it reads. */
+  val Table1Rows: Seq[(String, repro.checkpoint.ProtocolFeatures => Boolean)] = Seq(
+    "Blocking (markers)"      -> (_.blockingMarkers),
+    "In-flight logging"       -> (_.inFlightLogging),
+    "Deduplication required"  -> (_.deduplicationRequired),
+    "Message overhead"        -> (_.messageOverhead),
+    "Independent checkpoints" -> (_.independentCheckpoints),
+    "Straggler stalls"        -> (_.stragglerStalls),
+    "Unused checkpoints"      -> (_.unusedCheckpoints),
+    "Forced checkpoints"      -> (_.forcedCheckpoints),
+  )
+
   /** Render Table I: the qualitative feature matrix from the protocol
     * implementations themselves.
     */
   def renderTable1(): String = {
     val protos = Protocols.map(Experiment.protocolFor)
-    val rows: Seq[(String, repro.checkpoint.ProtocolFeatures => Boolean)] = Seq(
-      "Blocking (markers)"      -> (_.blockingMarkers),
-      "In-flight logging"       -> (_.inFlightLogging),
-      "Deduplication required"  -> (_.deduplicationRequired),
-      "Message overhead"        -> (_.messageOverhead),
-      "Independent checkpoints" -> (_.independentCheckpoints),
-      "Straggler stalls"        -> (_.stragglerStalls),
-      "Unused checkpoints"      -> (_.unusedCheckpoints),
-      "Forced checkpoints"      -> (_.forcedCheckpoints),
-    )
     val sb = new StringBuilder
     sb ++= "TABLE I: Summary of the features of the checkpointing protocols\n"
     sb ++= f"${"Feature"}%-26s" + protos.map(p => f"${p.name}%8s").mkString + "\n"
-    for ((label, f) <- rows) {
+    for ((label, f) <- Table1Rows) {
       sb ++= f"$label%-26s" + protos.map(p => f"${if (f(p.features)) "o" else "-"}%8s").mkString + "\n"
     }
     sb.result()

@@ -42,9 +42,16 @@ trait OperatorLogic {
     * the upstream logical operator ("" for source input).
     */
   def onRecord(value: Any, fromOp: String, emit: Any => Unit): Unit
-  /** Deep snapshot of operator state (must not alias mutable internals). */
+  /** Snapshot of operator state: an immutable value that no later
+    * [[onRecord]] can change, because the [[StateStore]] keeps the
+    * reference as the checkpoint's state. Logic that keeps its live state
+    * in persistent maps returns that state itself, in O(1).
+    */
   def snapshot(): Any
-  /** Restore from a snapshot produced by [[snapshot]]. */
+  /** Restore from a snapshot produced by [[snapshot]]. The snapshot is
+    * immutable, so the logic may adopt it as its live state without copying;
+    * one snapshot may be restored more than once.
+    */
   def restore(s: Any): Unit
   /** Approximate serialized state size (drives checkpoint cost). */
   def stateBytes: Long

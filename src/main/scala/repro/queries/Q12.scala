@@ -2,7 +2,6 @@ package repro.queries
 
 import repro.dataflow._
 import repro.nexmark._
-import scala.collection.mutable
 
 /** Running tumbling-window bid count per bidder (NexMark Q12): emits the
   * updated count on every bid (the paper's "running window"); the sink
@@ -11,7 +10,8 @@ import scala.collection.mutable
   * after the window closes.
   */
 final class Q12CountLogic(windowMicros: Long, slackMicros: Long) extends OperatorLogic {
-  private var counts = mutable.Map.empty[(Long, Long), Long]
+  // window -> bidder -> running count
+  private var counts = Map.empty[Long, Map[Long, Long]]
   private var watermark = 0L
 
   def onRecord(value: Any, fromOp: String, emit: Any => Unit): Unit = value match {
@@ -19,21 +19,22 @@ final class Q12CountLogic(windowMicros: Long, slackMicros: Long) extends Operato
       if (b.ts > watermark) {
         watermark = b.ts
         val expired = math.max(0L, watermark - slackMicros) / windowMicros
-        counts.keysIterator.filter(_._2 < expired - 1).toList.foreach(counts.remove)
+        counts = counts.removedAll(counts.keysIterator.filter(_ < expired - 1))
       }
-      val key = (b.bidder, b.ts / windowMicros)
-      val c = counts.getOrElse(key, 0L) + 1L
-      counts(key) = c
-      emit(Q12Out(key._1, key._2, c))
+      val w = b.ts / windowMicros
+      val inWindow = counts.getOrElse(w, Map.empty[Long, Long])
+      val c = inWindow.getOrElse(b.bidder, 0L) + 1L
+      counts = counts.updated(w, inWindow.updated(b.bidder, c))
+      emit(Q12Out(b.bidder, w, c))
     case other => sys.error(s"Q12 got $other")
   }
 
-  def snapshot(): Any = (counts.toMap, watermark)
+  def snapshot(): Any = (counts, watermark)
   def restore(s: Any): Unit = {
-    val (cs, wm) = s.asInstanceOf[(Map[(Long, Long), Long], Long)]
-    counts = mutable.Map.from(cs); watermark = wm
+    val (cs, wm) = s.asInstanceOf[(Map[Long, Map[Long, Long]], Long)]
+    counts = cs; watermark = wm
   }
-  def stateBytes: Long = counts.size.toLong * 40L + 16L
+  def stateBytes: Long = counts.valuesIterator.map(_.size.toLong).sum * 40L + 16L
 }
 
 /** NexMark Q12 (paper §VI): windowed count over bids with minor shuffling. */

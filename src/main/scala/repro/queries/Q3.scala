@@ -2,7 +2,6 @@ package repro.queries
 
 import repro.dataflow._
 import repro.nexmark._
-import scala.collection.mutable
 
 /** Incremental symmetric join state for NexMark Q3: persons (filtered to
   * OR/ID/CA) joined with auctions (filtered to category 10) on
@@ -11,23 +10,23 @@ import scala.collection.mutable
   * arrival order, which recovery relies on.
   */
 final class Q3JoinLogic extends OperatorLogic {
-  private var persons  = mutable.Map.empty[Long, NxPerson]
-  private var auctions = mutable.Map.empty[Long, List[Long]] // seller -> auction ids
+  private var persons  = Map.empty[Long, NxPerson]
+  private var auctions = Map.empty[Long, List[Long]] // seller -> auction ids
 
   def onRecord(value: Any, fromOp: String, emit: Any => Unit): Unit = value match {
     case p: NxPerson =>
-      persons(p.id) = p
+      persons = persons.updated(p.id, p)
       auctions.getOrElse(p.id, Nil).foreach(aid => emit(Q3Out(p.name, p.city, p.state, aid)))
     case a: NxAuction =>
-      auctions.updateWith(a.seller)(l => Some(a.id :: l.getOrElse(Nil)))
+      auctions = auctions.updated(a.seller, a.id :: auctions.getOrElse(a.seller, Nil))
       persons.get(a.seller).foreach(p => emit(Q3Out(p.name, p.city, p.state, a.id)))
     case other => sys.error(s"Q3 join got $other")
   }
 
-  def snapshot(): Any = (persons.toMap, auctions.toMap)
+  def snapshot(): Any = (persons, auctions)
   def restore(s: Any): Unit = {
     val (ps, as) = s.asInstanceOf[(Map[Long, NxPerson], Map[Long, List[Long]])]
-    persons = mutable.Map.from(ps); auctions = mutable.Map.from(as)
+    persons = ps; auctions = as
   }
   def stateBytes: Long =
     persons.size.toLong * 64L + auctions.valuesIterator.map(_.size.toLong * 16L + 16L).sum

@@ -2,7 +2,6 @@ package repro.queries
 
 import repro.dataflow._
 import repro.nexmark._
-import scala.collection.mutable
 
 /** Running tumbling-window join for NexMark Q8: persons joined with
   * auctions they opened in the same (event-time) window. Processing is
@@ -12,8 +11,8 @@ import scala.collection.mutable
   */
 final class Q8JoinLogic(windowMicros: Long, slackMicros: Long) extends OperatorLogic {
   // window -> person id -> name / auction count
-  private var persons  = mutable.Map.empty[Long, mutable.Map[Long, String]]
-  private var auctions = mutable.Map.empty[Long, mutable.Map[Long, Long]]
+  private var persons  = Map.empty[Long, Map[Long, String]]
+  private var auctions = Map.empty[Long, Map[Long, Long]]
   private var watermark = 0L
 
   private def window(ts: Long): Long = ts / windowMicros
@@ -22,8 +21,8 @@ final class Q8JoinLogic(windowMicros: Long, slackMicros: Long) extends OperatorL
     if (ts > watermark) {
       watermark = ts
       val expired = window(math.max(0L, watermark - slackMicros)) // windows < expired are closed
-      persons.keysIterator.filter(_ < expired - 1).toList.foreach(persons.remove)
-      auctions.keysIterator.filter(_ < expired - 1).toList.foreach(auctions.remove)
+      persons = persons.removedAll(persons.keysIterator.filter(_ < expired - 1))
+      auctions = auctions.removedAll(auctions.keysIterator.filter(_ < expired - 1))
     }
   }
 
@@ -31,29 +30,25 @@ final class Q8JoinLogic(windowMicros: Long, slackMicros: Long) extends OperatorL
     case p: NxPerson =>
       advance(p.ts, emit)
       val w = window(p.ts)
-      persons.getOrElseUpdate(w, mutable.Map.empty)(p.id) = p.name
+      persons = persons.updated(w,
+        persons.getOrElse(w, Map.empty[Long, String]).updated(p.id, p.name))
       val n = auctions.get(w).flatMap(_.get(p.id)).getOrElse(0L)
       var i = 0L
       while (i < n) { emit(Q8Out(p.id, p.name, w)); i += 1 }
     case a: NxAuction =>
       advance(a.ts, emit)
       val w = window(a.ts)
-      val m = auctions.getOrElseUpdate(w, mutable.Map.empty)
-      m(a.seller) = m.getOrElse(a.seller, 0L) + 1L
+      val m = auctions.getOrElse(w, Map.empty[Long, Long])
+      auctions = auctions.updated(w, m.updated(a.seller, m.getOrElse(a.seller, 0L) + 1L))
       persons.get(w).flatMap(_.get(a.seller)).foreach(nm => emit(Q8Out(a.seller, nm, w)))
     case other => sys.error(s"Q8 join got $other")
   }
 
-  def snapshot(): Any =
-    (persons.map { case (k, v) => k -> v.toMap }.toMap,
-      auctions.map { case (k, v) => k -> v.toMap }.toMap,
-      watermark)
+  def snapshot(): Any = (persons, auctions, watermark)
   def restore(s: Any): Unit = {
     val (ps, as, wm) =
       s.asInstanceOf[(Map[Long, Map[Long, String]], Map[Long, Map[Long, Long]], Long)]
-    persons  = mutable.Map.from(ps.map { case (k, v) => k -> mutable.Map.from(v) })
-    auctions = mutable.Map.from(as.map { case (k, v) => k -> mutable.Map.from(v) })
-    watermark = wm
+    persons = ps; auctions = as; watermark = wm
   }
   def stateBytes: Long =
     persons.valuesIterator.map(_.size.toLong * 32L).sum +

@@ -36,13 +36,13 @@ object Reach {
   */
 final class ReachJoinLogic extends OperatorLogic {
   import Reach._
-  private var links = mutable.Map.empty[Long, Set[Long]]
-  private var facts = mutable.Map.empty[Long, Set[SourceFact]]
+  private var links = Map.empty[Long, Set[Long]]
+  private var facts = Map.empty[Long, Set[SourceFact]]
 
   private def addFact(f: SourceFact, emit: Any => Unit): Unit = {
     val existing = facts.getOrElse(f.node, Set.empty)
     if (!existing(f)) {
-      facts(f.node) = existing + f
+      facts = facts.updated(f.node, existing + f)
       links.getOrElse(f.node, Set.empty).foreach(v => emit(Pair(f, f.node, v)))
     }
   }
@@ -51,27 +51,33 @@ final class ReachJoinLogic extends OperatorLogic {
     case AddLink(u, v, _) =>
       val cur = links.getOrElse(u, Set.empty)
       if (!cur(v)) {
-        links(u) = cur + v
+        links = links.updated(u, cur + v)
         facts.getOrElse(u, Set.empty).foreach(f => emit(Pair(f, u, v)))
       }
     case AddSource(id, node, _) => addFact(SourceFact(id, node, Vector(node)), emit)
     case f: SourceFact          => addFact(f, emit)
     case DelLink(u, v, _) =>
-      links.updateWith(u)(_.map(_ - v).filter(_.nonEmpty))
+      links = links.updatedWith(u)(_.map(_ - v).filter(_.nonEmpty))
       // Retract every derived fact whose path traverses (u, v).
-      facts = facts.map { case (n, fs) =>
-        n -> fs.filterNot(f => f.path.iterator.sliding(2).withPartial(false)
-          .exists(p => p.head == u && p(1) == v))
-      }.filter(_._2.nonEmpty)
-    case DelSource(id, _) =>
-      facts = facts.map { case (n, fs) => n -> fs.filterNot(_.id == id) }.filter(_._2.nonEmpty)
+      retract(_.path.iterator.sliding(2).withPartial(false).exists(p => p.head == u && p(1) == v))
+    case DelSource(id, _) => retract(_.id == id)
     case other => sys.error(s"reach join got $other")
   }
 
-  def snapshot(): Any = (links.toMap, facts.toMap)
+  /** Drops every fact matching `p`, replacing only the sets that lose one. */
+  private def retract(p: SourceFact => Boolean): Unit = {
+    var kept = facts
+    facts.foreachEntry { (n, fs) =>
+      val rest = fs.filterNot(p)
+      if (rest.size < fs.size) kept = if (rest.isEmpty) kept - n else kept.updated(n, rest)
+    }
+    facts = kept
+  }
+
+  def snapshot(): Any = (links, facts)
   def restore(s: Any): Unit = {
     val (ls, fs) = s.asInstanceOf[(Map[Long, Set[Long]], Map[Long, Set[SourceFact]])]
-    links = mutable.Map.from(ls); facts = mutable.Map.from(fs)
+    links = ls; facts = fs
   }
   def stateBytes: Long =
     links.valuesIterator.map(_.size.toLong * 16L).sum +

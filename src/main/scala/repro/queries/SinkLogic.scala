@@ -1,7 +1,6 @@
 package repro.queries
 
 import repro.dataflow.OperatorLogic
-import scala.collection.mutable
 
 /** Sink digest used for correctness verification.
   *
@@ -18,28 +17,28 @@ import scala.collection.mutable
   * surviving lineage).
   */
 final class MultisetSink extends OperatorLogic {
-  val counts = mutable.Map.empty[Any, Long]
+  private var state = Map.empty[Any, Long]
+  /** Count per distinct output value. */
+  def counts: Map[Any, Long] = state
   def onRecord(value: Any, fromOp: String, emit: Any => Unit): Unit =
-    counts.updateWith(value) { c => Some(c.getOrElse(0L) + 1L) }
-  def snapshot(): Any = counts.toMap
-  def restore(s: Any): Unit = {
-    counts.clear(); counts ++= s.asInstanceOf[Map[Any, Long]]
-  }
-  def stateBytes: Long = counts.size.toLong * 48L
+    state = state.updated(value, state.getOrElse(value, 0L) + 1L)
+  def snapshot(): Any = state
+  def restore(s: Any): Unit = state = s.asInstanceOf[Map[Any, Long]]
+  def stateBytes: Long = state.size.toLong * 48L
 }
 
 /** Upsert-max sink: `key`/`value` project a group and a monotone measure. */
 final class UpsertMaxSink(key: Any => Any, value: Any => Long) extends OperatorLogic {
-  val latest = mutable.Map.empty[Any, Long]
+  private var state = Map.empty[Any, Long]
+  /** Greatest measure seen per group. */
+  def latest: Map[Any, Long] = state
   def onRecord(v: Any, fromOp: String, emit: Any => Unit): Unit = {
     val k = key(v); val x = value(v)
-    if (latest.getOrElse(k, Long.MinValue) < x) latest(k) = x
+    if (state.getOrElse(k, Long.MinValue) < x) state = state.updated(k, x)
   }
-  def snapshot(): Any = latest.toMap
-  def restore(s: Any): Unit = {
-    latest.clear(); latest ++= s.asInstanceOf[Map[Any, Long]]
-  }
-  def stateBytes: Long = latest.size.toLong * 48L
+  def snapshot(): Any = state
+  def restore(s: Any): Unit = state = s.asInstanceOf[Map[Any, Long]]
+  def stateBytes: Long = state.size.toLong * 48L
 }
 
 /** Stateless pass-through (sources and simple stages). */

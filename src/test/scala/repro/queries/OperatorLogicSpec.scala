@@ -5,7 +5,7 @@ import repro.nexmark._
 import scala.collection.mutable
 
 /** Unit behaviour of the query operators: emission rules, snapshot/restore
-  * roundtrips (deep copies, no aliasing), window expiry.
+  * roundtrips (snapshots unchanged by later records), window expiry.
   */
 class OperatorLogicSpec extends AnyFunSuite {
   private def collect(): (mutable.ArrayBuffer[Any], Any => Unit) = {
@@ -104,6 +104,51 @@ class OperatorLogicSpec extends AnyFunSuite {
     val (o, e2) = collect()
     c2.onRecord(NxBid(1, 42, 10.0, 300), "src", e2)
     assert(o.toSeq == Seq(Q12Out(42, 0, 2)), "restored count must be 1, next bid => 2")
+  }
+
+  /** Reference Q12: counts keyed by (bidder, window), expired by scanning
+    * every key on each watermark bump. Returns the emissions and the state
+    * size after each bid, by `Q12CountLogic.stateBytes`'s formula.
+    */
+  private def perKeyQ12(w: Long, slack: Long, bids: Seq[NxBid]): Seq[(Q12Out, Long)] = {
+    val counts = mutable.Map.empty[(Long, Long), Long]
+    var watermark = 0L
+    bids.map { b =>
+      if (b.ts > watermark) {
+        watermark = b.ts
+        val expired = math.max(0L, watermark - slack) / w
+        counts.keysIterator.filter(_._2 < expired - 1).toList.foreach(counts.remove)
+      }
+      val key = (b.bidder, b.ts / w)
+      val c = counts.getOrElse(key, 0L) + 1L
+      counts(key) = c
+      (Q12Out(key._1, key._2, c), counts.size.toLong * 40L + 16L)
+    }
+  }
+
+  test("Q12 expires closed windows past the slack, whole windows at a time") {
+    val w = NexmarkGen.WindowMicros
+    val c = new Q12CountLogic(w, slackMicros = w)
+    val (o, e) = collect()
+    val bytes = mutable.ArrayBuffer.empty[Long]
+    def bid(bidder: Long, ts: Long): Unit = {
+      c.onRecord(NxBid(1, bidder, 1.0, ts), "src", e); bytes += c.stateBytes
+    }
+    val trace = Seq(
+      (42L, 100L), (43L, 200L), (42L, w + 100), // windows 0 and 1
+      (44L, 3 * w + 50),                        // window 0 is past window + slack
+      (42L, w + 300),                           // window 1 is still live
+      (43L, 10 * w),                            // every earlier window expires
+      (43L, 300L),                              // late bid to an expired window
+      (43L, 10 * w + 1),
+    )
+    trace.foreach { case (b, ts) => bid(b, ts) }
+    assert(bytes(3) < bytes(2), "expired window state should be dropped")
+    assert(o(4) == Q12Out(42, 1, 2), "a bid in a live window keeps counting")
+    assert(bytes(5) == 56L, "only the newest window is left")
+    val expected = perKeyQ12(w, w, trace.map { case (b, ts) => NxBid(1, b, 1.0, ts) })
+    assert(o.toSeq == expected.map(_._1))
+    assert(bytes.toSeq == expected.map(_._2))
   }
 
   test("multiset sink counts duplicates; upsert sink keeps the max") {
