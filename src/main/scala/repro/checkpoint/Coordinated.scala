@@ -34,7 +34,8 @@ final class Coordinated extends Protocol {
   private var activeRound: Option[Int] = None
   private var roundStart: Long = 0L
   private var nextRound: Int = 1
-  private val durableInRound = mutable.Set.empty[InstanceId]
+  /** Instance -> idx of its durable checkpoint in the active round. */
+  private val durableInRound = mutable.Map.empty[InstanceId, Int]
   /** round -> (start, end) of completed rounds. */
   val completedRounds = mutable.Map.empty[Int, (Long, Long)]
 
@@ -100,9 +101,11 @@ final class Coordinated extends Protocol {
   def onDurable(meta: CkptMeta, now: Long): Unit = meta.kind match {
     case CoordinatedCkpt(r) if activeRound.contains(r) =>
       rt.addProtocolBytes(RpcBytes) // durable-ack to the coordinator
-      durableInRound += meta.id
+      durableInRound(meta.id) = meta.idx
       if (durableInRound.size == rt.graph.instances.size) {
         completedRounds(r) = (roundStart, now)
+        // Recovery never goes back past a complete round.
+        durableInRound.foreach { case (id, idx) => rt.store.collectBelow(id, idx, now) }
         if (roundStart >= rt.cfg.warmupMicros && roundStart <= rt.cfg.endMicros)
           rt.metrics.roundDurationMicros += (now - roundStart)
         activeRound = None

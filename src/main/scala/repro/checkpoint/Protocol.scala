@@ -37,6 +37,13 @@ final case class RecoveryPlan(
   * The runtime drives the dataflow; protocols hook the message path
   * (piggybacks, markers, forced checkpoints), own the checkpoint triggering
   * policy (timers or coordinated rounds), and plan recovery after failure.
+  *
+  * Decorators wrap a protocol by overriding every member and forwarding it:
+  * the benchmark's `TracedProtocol` times each hook that way, and the
+  * tests' recording decorator keeps the whole checkpoint history. A member
+  * added with a default body would silently bypass every such decorator,
+  * so work that needs no new hook (such as garbage collection, which runs
+  * inside `onDurable`) belongs inside the existing ones.
   */
 trait Protocol {
   def name: String

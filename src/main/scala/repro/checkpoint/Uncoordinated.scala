@@ -7,8 +7,9 @@ import repro.dataflow._
   *
   * Exactly-once needs the full log-based machinery: sender-side in-flight
   * message logging (upstream backup), per-channel sequence deduplication on
-  * replay, and the rollback-propagation algorithm over the checkpoint
-  * graph to find a consistent recovery line. Checkpoint metadata (the seq
+  * replay, and a recovery-line search over the checkpoints' seq vectors
+  * ([[Recovery.recoveryLine]]), which also garbage-collects the store and
+  * the log as the line moves forward. Checkpoint metadata (the seq
   * vectors) is shipped to the coordinator — the protocol's only message
   * overhead, which Table II shows to be insignificant.
   *
@@ -31,8 +32,14 @@ class Uncoordinated extends Protocol {
     32L + 8L * (meta.lastSent.size + meta.lastReceived.size)
 
   protected var rt: ProtocolRuntime = _
+  /** Checkpoints made durable since the last collection. */
+  private var durableSinceCollect = 0
+  private var nInstances = 0
 
-  def init(r: ProtocolRuntime): Unit = rt = r
+  def init(r: ProtocolRuntime): Unit = {
+    rt = r
+    nInstances = r.graph.instances.size
+  }
 
   def onStart(): Unit = {
     val rnd = new scala.util.Random(rt.cfg.seed ^ 0x5ca1ab1e)
@@ -60,8 +67,19 @@ class Uncoordinated extends Protocol {
 
   def onCheckpoint(inst: Instance, meta: CkptMeta, now: Long): Unit = ()
 
-  def onDurable(meta: CkptMeta, now: Long): Unit =
+  /** Ships the checkpoint's metadata, and collects the store and the log
+    * below the recovery line about once per checkpoint interval (when as
+    * many checkpoints as there are instances became durable since the
+    * last collection).
+    */
+  def onDurable(meta: CkptMeta, now: Long): Unit = {
     rt.addProtocolBytes(metaRpcBytes(meta))
+    durableSinceCollect += 1
+    if (durableSinceCollect >= nInstances) {
+      durableSinceCollect = 0
+      Recovery.collect(rt, now)
+    }
+  }
 
   def afterResume(now: Long): Unit = {
     val interval = rt.cfg.localIntervalMicros

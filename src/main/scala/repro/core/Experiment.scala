@@ -62,16 +62,17 @@ object Experiment {
   }
 
   /** Build and run one cell; returns both the live runtime (for digest
-    * inspection) and the frozen result.
+    * inspection) and the frozen result. `wrap` may decorate the protocol
+    * the runtime drives; the result is frozen from the undecorated one.
     */
-  def run(cfg: ExpConfig): (Runtime, ExpResult) = {
+  def run(cfg: ExpConfig, wrap: Protocol => Protocol = identity): (Runtime, ExpResult) = {
     val protocol = protocolFor(cfg.protocolName)
     val graph = cfg.query.graph(cfg.parallelism)
     val horizon = cfg.inputHorizonMicros.getOrElse(cfg.sim.endMicros)
     val input = cfg.query.input(cfg.parallelism,
       NexmarkConfig(cfg.ratePerSec, horizon, hotRatio = cfg.hotRatio, seed = cfg.seed,
         include = cfg.query.includes))
-    val rt = new Runtime(graph, protocol, cfg.sim, input).run()
+    val rt = new Runtime(graph, wrap(protocol), cfg.sim, input).run()
     (rt, freeze(cfg, rt, protocol))
   }
 
@@ -84,25 +85,23 @@ object Experiment {
       case c: Coordinated => c.censorOpenRound(cfg.sim.endMicros)
       case _              => ()
     }
-    val window = (lo: Long, hi: Long) => (t: Long) => t >= lo && t <= hi
-    val inWin = window(cfg.sim.warmupMicros, cfg.sim.endMicros)
-    val metas = rt.store.allMetas.filter(c =>
-      c.counted && c.kind != InitialCkpt && inWin(c.takenAt))
-    val forced = metas.count(_.kind == ForcedCkpt).toLong
     val avgCkpt = protocol.name match {
       case "COOR" => mean(m.roundDurationMicros.toSeq)
       case _      => mean(m.ckptSyncMicros.toSeq)
     }
-    val lats = m.latencies.map(_.latencyMicros).sorted
+    val lats = new Array[Long](m.latencies.length)
+    var i = 0
+    while (i < lats.length) { lats(i) = m.latencies(i).latencyMicros; i += 1 }
+    java.util.Arrays.sort(lats)
     def pct(q: Double): Long =
-      if (lats.isEmpty) 0L else lats(math.min(lats.size - 1, (q * lats.size).toInt))
+      if (lats.isEmpty) 0L else lats(math.min(lats.length - 1, (q * lats.length).toInt))
     val recovery = m.failureAt match {
       case Some(f) if m.lastLaggedAt > f => m.lastLaggedAt - f
       case _                             => 0L
     }
     ExpResult(cfg,
       dataBytes = m.dataBytes, protoBytes = m.protoBytes,
-      totalCounted = metas.size.toLong, forcedCounted = forced,
+      totalCounted = rt.store.counted, forcedCounted = rt.store.forcedCounted,
       invalidCounted = m.invalidCounted.toLong, avgCheckpointMicros = avgCkpt,
       restartMicros = m.restartMicros,
       p50Micros = pct(0.50), p99Micros = pct(0.99),

@@ -6,8 +6,10 @@ sealed trait SimAction
   * (its dense index in [[Graph.wiring]]), as its input channel `inIdx`.
   */
 final case class Deliver(msg: Msg, to: Int, inIdx: Int)   extends SimAction
-/** Re-examine an instance's inboxes / source input for runnable work. */
-final case class Wake(id: InstanceId)                      extends SimAction
+/** Re-examine the inboxes / source input of instance `index` (its dense
+  * index in [[Graph.wiring]]) for runnable work.
+  */
+final case class Wake(index: Int)                          extends SimAction
 /** A protocol timer/control event fires (UNC/CIC local checkpoint timers,
   * COOR round starts and per-source triggers). `inst` is the target
   * instance for per-instance events, None for coordinator-level ones.

@@ -77,7 +77,7 @@ final class Instance(
   lazy val inIndex: Map[ChannelId, Int] = inCh.zipWithIndex.toMap
 
   /** The (immutable) wake-up event of this instance, shared by every schedule. */
-  val wake: Wake = Wake(id)
+  val wake: Wake = Wake(index)
 
   /** Instance is busy (processing/snapshotting) until this instant. */
   var busyUntil: Long = 0L

@@ -25,7 +25,7 @@ final class Runtime(
     s"${protocol.name} cannot run on a cyclic dataflow graph (marker deadlock)")
 
   val queue   = new EventQueue
-  val store   = new StateStore
+  val store   = new StateStore(cfg.warmupMicros, cfg.endMicros)
   val log     = new MessageLog
   val metrics = new MetricsCollector
 
@@ -101,7 +101,7 @@ final class Runtime(
       q.enqueue(clock, msg)
       if (q.size > metrics.maxQueuedMessages) metrics.maxQueuedMessages = q.size
       tryStart(inst)
-    case Wake(id) => tryStart(insts(id))
+    case Wake(i)  => tryStart(nodes(i))
     case ProtocolTimer(tag, inst, payload) => protocol.onTimer(tag, inst, payload, clock)
     case UploadDone(id, idx) =>
       store.byIdx(id, idx).foreach(m => protocol.onDurable(m, clock))
@@ -326,6 +326,11 @@ final class Runtime(
       inst.restoreVectors(meta.lastSent, meta.lastReceived)
       inst.srcOffset = meta.srcOffset
       inst.busyUntil = clock
+      // Checkpoints past the line describe the rolled-back execution, and
+      // the sender re-sends every seq past its restored position.
+      store.dropAfter(inst.id, meta.idx)
+      if (protocol.logsMessages)
+        for (k <- inst.outCh.indices) log.truncateAfter(inst.outCh(k), inst.lastSent(k))
     }
     // Re-deliver logged in-flight messages, per channel in seq order, ahead
     // of any regenerated traffic (regeneration needs >= one service time).

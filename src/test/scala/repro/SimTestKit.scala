@@ -1,8 +1,61 @@
 package repro
 
+import repro.checkpoint._
 import repro.core.{ExpConfig, Experiment, ExpResult}
-import repro.dataflow.{Runtime, SimConfig}
+import repro.dataflow._
 import repro.queries.QueryDef
+import scala.collection.mutable
+
+/** A protocol decorator that keeps the whole history the runtime's store
+  * and log collect away: every checkpoint (in a store of its own), every
+  * applied data message, the last recovery plan, and the peak number of
+  * messages the runtime's log held at a send. Forwards every member.
+  */
+final class Recorder(val inner: Protocol) extends Protocol {
+  /** Every checkpoint ever taken, initial ones included. */
+  val store = new StateStore
+  /** Every data message applied (deduplicated ones are not applied). */
+  val applied = mutable.ArrayBuffer.empty[Msg]
+  var lastPlan: Option[RecoveryPlan] = None
+  var peakHeldMessages = 0L
+  private var rt: ProtocolRuntime = _
+
+  def name: String = inner.name
+  def features: ProtocolFeatures = inner.features
+  def logsMessages: Boolean = inner.logsMessages
+  def supportsCycles: Boolean = inner.supportsCycles
+
+  def init(r: ProtocolRuntime): Unit = {
+    rt = r
+    r.store.allMetas.foreach(store.put)
+    inner.init(r)
+  }
+  def onStart(): Unit = inner.onStart()
+  def onTimer(tag: String, inst: Option[InstanceId], payload: Long, now: Long): Unit =
+    inner.onTimer(tag, inst, payload, now)
+  def piggybackFor(sender: InstanceId, channel: ChannelId, now: Long): Option[Piggyback] = {
+    peakHeldMessages = math.max(peakHeldMessages, rt.log.heldMessages)
+    inner.piggybackFor(sender, channel, now)
+  }
+  def beforeApply(inst: Instance, msg: Msg, now: Long): Boolean = {
+    applied += msg
+    inner.beforeApply(inst, msg, now)
+  }
+  def onMarker(inst: Instance, channel: ChannelId, round: Int, now: Long): Unit =
+    inner.onMarker(inst, channel, round, now)
+  def onCheckpoint(inst: Instance, meta: CkptMeta, now: Long): Unit = {
+    store.put(meta)
+    inner.onCheckpoint(inst, meta, now)
+  }
+  def onDurable(meta: CkptMeta, now: Long): Unit = inner.onDurable(meta, now)
+  override def ckptExtraBytes(inst: Instance): Long = inner.ckptExtraBytes(inst)
+  def afterResume(now: Long): Unit = inner.afterResume(now)
+  def plan(failTime: Long): RecoveryPlan = {
+    val p = inner.plan(failTime)
+    lastPlan = Some(p)
+    p
+  }
+}
 
 /** Shared helpers for simulator tests: small, fast runs with and without
   * failure, plus the exactly-once comparison harness.
@@ -26,9 +79,24 @@ object SimTestKit {
   def run(query: QueryDef, protocol: String, parallelism: Int, rate: Double,
       horizonMicros: Long = 20_000_000L, failAt: Option[Long] = None,
       hotRatio: Double = 0.0, seed: Long = 7L): (Runtime, ExpResult) =
-    Experiment.run(ExpConfig(query, protocol, parallelism, rate, hotRatio,
+    Experiment.run(config(query, protocol, parallelism, rate, horizonMicros, failAt,
+      hotRatio, seed))
+
+  /** [[run]] under a [[Recorder]], for tests that look at the whole history. */
+  def recordedRun(query: QueryDef, protocol: String, parallelism: Int, rate: Double,
+      horizonMicros: Long = 20_000_000L, failAt: Option[Long] = None,
+      hotRatio: Double = 0.0, seed: Long = 7L): (Runtime, ExpResult, Recorder) = {
+    var rec: Recorder = null
+    val (rt, res) = Experiment.run(config(query, protocol, parallelism, rate, horizonMicros,
+      failAt, hotRatio, seed), p => { rec = new Recorder(p); rec })
+    (rt, res, rec)
+  }
+
+  private def config(query: QueryDef, protocol: String, parallelism: Int, rate: Double,
+      horizonMicros: Long, failAt: Option[Long], hotRatio: Double, seed: Long): ExpConfig =
+    ExpConfig(query, protocol, parallelism, rate, hotRatio,
       sim = testSim(failAt.map(_ - 1_000_000L)), // failAt here is absolute; sim adds warmup
-      inputHorizonMicros = Some(horizonMicros), seed = seed))
+      inputHorizonMicros = Some(horizonMicros), seed = seed)
 
   /** Steady-state run: input spans the whole measurement window, so byte
     * ratios and checkpoint counts reflect continuous operation (as in the

@@ -2,7 +2,8 @@ package repro.checkpoint
 
 import repro.dataflow.{ChannelId, InstanceId}
 
-/** The checkpoint graph of Wang et al. (paper §III-B, Fig. 4).
+/** The checkpoint graph of Wang et al. (paper §III-B, Fig. 4), the input
+  * of the test-scope Algorithm 1 oracle ([[RollbackPropagation]]).
   *
   * Nodes are durable checkpoints; there is a directed edge
   * c(i,x) -> c(j,y) when

@@ -8,21 +8,23 @@ import repro.queries._
 class CoordinatedSpec extends AnyFunSuite {
 
   test("rounds complete and produce one counted checkpoint per source/stateful instance") {
-    val (rt, _) = SimTestKit.run(Q3, "COOR", 3, rate = 100.0, horizonMicros = 10_000_000L)
-    val coor = rt.protocol.asInstanceOf[Coordinated]
+    val (rt, _, history) =
+      SimTestKit.recordedRun(Q3, "COOR", 3, rate = 100.0, horizonMicros = 10_000_000L)
+    val coor = history.inner.asInstanceOf[Coordinated]
     assert(coor.completedRounds.nonEmpty, "no coordinated round completed")
     coor.completedRounds.keys.foreach { r =>
-      val metas = rt.store.allMetas.filter(_.kind == CoordinatedCkpt(r))
+      val metas = history.store.allMetas.filter(_.kind == CoordinatedCkpt(r))
       assert(metas.size == rt.graph.instances.size,
         s"round $r incomplete: ${metas.size}/${rt.graph.instances.size}")
     }
   }
 
   test("alignment invariant: in a completed round, every channel is flushed (recv == sent)") {
-    val (rt, _) = SimTestKit.run(Q3, "COOR", 3, rate = 100.0, horizonMicros = 10_000_000L)
-    val coor = rt.protocol.asInstanceOf[Coordinated]
+    val (_, _, history) =
+      SimTestKit.recordedRun(Q3, "COOR", 3, rate = 100.0, horizonMicros = 10_000_000L)
+    val coor = history.inner.asInstanceOf[Coordinated]
     for (r <- coor.completedRounds.keys) {
-      val metas = rt.store.allMetas.filter(_.kind == CoordinatedCkpt(r))
+      val metas = history.store.allMetas.filter(_.kind == CoordinatedCkpt(r))
         .map(m => m.id -> m).toMap
       for ((id, m) <- metas; (ch, sent) <- m.lastSent) {
         val recv = metas(ch.to).lastReceived.getOrElse(ch, -1L)

@@ -8,9 +8,10 @@ import repro.queries._
 class HmnrSpec extends AnyFunSuite {
 
   test("every data message carries a piggyback with correct vector lengths") {
-    val (rt, _) = SimTestKit.run(Q3, "CIC", 3, rate = 100.0, horizonMicros = 8_000_000L)
-    val logged = rt.log.range(
-      rt.allInstances.find(i => i.id.op == "join").get.inCh.head, 0L, Long.MaxValue)
+    val (rt, _, history) =
+      SimTestKit.recordedRun(Q3, "CIC", 3, rate = 100.0, horizonMicros = 8_000_000L)
+    val joinIn = rt.allInstances.find(i => i.id.op == "join").get.inCh.head
+    val logged = history.applied.filter(_.channel == joinIn)
     assert(logged.nonEmpty)
     val nInstances = 4 * 3 // Q3 has 4 logical ops at parallelism 3
     logged.foreach { m =>
@@ -49,9 +50,10 @@ class HmnrSpec extends AnyFunSuite {
   private def cyclicQ = Reachability(ReachConfig(5000, 0.0, 0L))
 
   test("forced checkpoints occur on cyclic communication and are tagged") {
-    val (rt, _) = SimTestKit.run(cyclicQ, "CIC", 3, rate = 150.0, horizonMicros = 12_000_000L)
-    val hmnr = rt.protocol.asInstanceOf[Hmnr]
-    val forcedMetas = rt.store.allMetas.count(_.kind == ForcedCkpt)
+    val (_, _, history) =
+      SimTestKit.recordedRun(cyclicQ, "CIC", 3, rate = 150.0, horizonMicros = 12_000_000L)
+    val hmnr = history.inner.asInstanceOf[Hmnr]
+    val forcedMetas = history.store.allMetas.count(_.kind == ForcedCkpt)
     assert(hmnr.forcedCount > 0, "HMNR never forced a checkpoint on the cyclic query")
     assert(forcedMetas > 0)
   }
@@ -73,11 +75,13 @@ class HmnrSpec extends AnyFunSuite {
   }
 
   test("CIC checkpoints carry extra protocol bytes (vectors)") {
-    val (rtC, _) = SimTestKit.run(Q12(), "CIC", 4, rate = 100.0, horizonMicros = 8_000_000L)
-    val (rtU, _) = SimTestKit.run(Q12(), "UNC", 4, rate = 100.0, horizonMicros = 8_000_000L)
-    val cBytes = rtC.store.allMetas.filter(m => m.counted && m.kind != InitialCkpt)
+    val (_, _, histC) =
+      SimTestKit.recordedRun(Q12(), "CIC", 4, rate = 100.0, horizonMicros = 8_000_000L)
+    val (_, _, histU) =
+      SimTestKit.recordedRun(Q12(), "UNC", 4, rate = 100.0, horizonMicros = 8_000_000L)
+    val cBytes = histC.store.allMetas.filter(m => m.counted && m.kind != InitialCkpt)
       .map(_.stateBytes).min
-    val uBytes = rtU.store.allMetas.filter(m => m.counted && m.kind != InitialCkpt)
+    val uBytes = histU.store.allMetas.filter(m => m.counted && m.kind != InitialCkpt)
       .map(_.stateBytes).min
     assert(cBytes > uBytes)
   }

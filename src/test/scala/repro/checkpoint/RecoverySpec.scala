@@ -42,11 +42,11 @@ class RecoverySpec extends AnyFunSuite {
   }
 
   test("checkpoints not yet durable at the failure instant are unusable") {
-    val (rt, _) = SimTestKit.run(Q3, "UNC", 2, rate = 200.0,
+    val (rt, _, history) = SimTestKit.recordedRun(Q3, "UNC", 2, rate = 200.0,
       horizonMicros = 12_000_000L, failAt = Some(8_000_000L))
     val failAt = rt.metrics.failureAt.get
     rt.allInstances.foreach { inst =>
-      val durable = rt.store.durable(inst.id, failAt)
+      val durable = history.store.durable(inst.id, failAt)
       assert(durable.forall(_.durableAt <= failAt))
       assert(durable.nonEmpty, "initial checkpoint must always be durable")
     }

@@ -2,7 +2,8 @@ package repro.checkpoint
 
 import repro.dataflow.InstanceId
 
-/** Algorithm 1 of the paper (Wang et al.'s rollback propagation):
+/** Algorithm 1 of the paper (Wang et al.'s rollback propagation), kept in
+  * test scope as the oracle of [[Recovery.recoveryLine]]:
   * starting from the latest checkpoint of every instance (the root set),
   * repeatedly replace any root-set checkpoint that is strictly reachable
   * from another root-set checkpoint by the next-older checkpoint of the

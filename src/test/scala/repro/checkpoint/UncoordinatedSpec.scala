@@ -10,8 +10,9 @@ import repro.queries._
 class UncoordinatedSpec extends AnyFunSuite {
 
   test("instances checkpoint independently on jittered timers (no two aligned rounds)") {
-    val (rt, _) = SimTestKit.run(Q3, "UNC", 3, rate = 100.0, horizonMicros = 10_000_000L)
-    val counted = rt.store.allMetas.filter(m => m.counted && m.kind == LocalCkpt)
+    val (_, _, history) =
+      SimTestKit.recordedRun(Q3, "UNC", 3, rate = 100.0, horizonMicros = 10_000_000L)
+    val counted = history.store.allMetas.filter(m => m.counted && m.kind == LocalCkpt)
     assert(counted.nonEmpty)
     // Jittered phases: the set of distinct first-checkpoint times is large.
     val firstTimes = counted.groupBy(_.id).map(_._2.minBy(_.idx).takenAt).toSet

@@ -32,6 +32,65 @@ class ComponentsSpec extends AnyFunSuite {
     assert(log.totalBytes == 5L * (Msg.FrameBytes + 100))
   }
 
+  test("message log: collect, truncate and re-append keep ranges positional") {
+    val log = new MessageLog
+    (1L to 10L).foreach(s => log.append(msg(s)))
+    log.collectThrough(ab, 4)
+    assert(log.heldMessages == 6)
+    assert(log.range(ab, 0, 10).map(_.seq) == (5L to 10L))
+    // A resumed sender restored to seq 7 re-sends 8.. with new payloads.
+    log.truncateAfter(ab, 7)
+    assert(log.heldMessages == 3)
+    (8L to 12L).foreach(s => log.append(msg(s, bytes = 20)))
+    val resent = log.range(ab, 7, 12)
+    assert(resent.map(_.seq) == (8L to 12L))
+    assert(resent.forall(_.payloadBytes == 20))
+    assert(log.range(ab, 4, 12).map(_.seq) == (5L to 12L))
+    assert(log.heldMessages == 8)
+    // Ever-appended counters include the re-sent messages.
+    assert(log.totalMessages == 15)
+    assert(log.totalBytes == 10L * (Msg.FrameBytes + 10) + 5L * (Msg.FrameBytes + 20))
+    // Collecting past the end or below the front is harmless.
+    log.collectThrough(ab, 2)
+    assert(log.heldMessages == 8)
+    log.collectThrough(ab, 99)
+    assert(log.heldMessages == 0 && log.range(ab, 0, 99).isEmpty)
+    log.append(msg(13))
+    assert(log.range(ab, 12, 13).map(_.seq) == Seq(13L))
+  }
+
+  test("message log refuses a seq gap") {
+    val log = new MessageLog
+    log.append(msg(1))
+    intercept[IllegalArgumentException](log.append(msg(3)))
+  }
+
+  test("state store: collection and recovery drop checkpoints, tallies stay") {
+    val store = new StateStore(countFrom = 100, countUntil = 1000)
+    def meta(idx: Int, takenAt: Long, durableAt: Long, kind: CkptKind = LocalCkpt) =
+      CkptMeta(a, idx, kind, takenAt, durableAt, 0, (), Map.empty, Map.empty, 0,
+        counted = true, syncMicros = 1)
+    store.put(meta(0, 0, 0, InitialCkpt))
+    store.put(meta(1, 50, 60))
+    store.put(meta(2, 150, 900)) // a slow upload, still pending at 500
+    store.put(meta(3, 200, 210, ForcedCkpt))
+    store.put(meta(4, 300, 310))
+    store.put(meta(5, 400, 410))
+    assert(store.counted == 4 && store.forcedCounted == 1)
+    store.collectBelow(a, 4, now = 500)
+    assert(store.all(a).map(_.idx) == Seq(2, 4, 5))
+    assert(store.collectedDurable == 3)
+    assert(store.byIdx(a, 2).nonEmpty && store.byIdx(a, 3).isEmpty)
+    store.dropAfter(a, 4)
+    assert(store.all(a).map(_.idx) == Seq(2, 4))
+    assert(store.collectedDurable == 3)
+    store.put(meta(7, 600, 610))
+    assert(store.byIdx(a, 7).map(_.takenAt).contains(600L))
+    assert(store.byIdx(a, 5).isEmpty)
+    assert(store.durable(a, 700).map(_.idx) == Seq(4, 7))
+    assert(store.counted == 5 && store.forcedCounted == 1)
+  }
+
   test("state store filters on durability horizon") {
     val store = new StateStore
     def meta(idx: Int, durableAt: Long) = CkptMeta(a, idx, LocalCkpt, durableAt - 1,

@@ -10,9 +10,9 @@ class EventQueueSpec extends AnyFunSuite {
 
   test("events pop in time order") {
     val q = new EventQueue
-    q.schedule(30, Wake(InstanceId("a", 0)))
-    q.schedule(10, Wake(InstanceId("b", 0)))
-    q.schedule(20, Wake(InstanceId("c", 0)))
+    q.schedule(30, Wake(0))
+    q.schedule(10, Wake(1))
+    q.schedule(20, Wake(2))
     assert(q.pop()._1 == 10)
     assert(q.pop()._1 == 20)
     assert(q.pop()._1 == 30)
@@ -20,9 +20,9 @@ class EventQueueSpec extends AnyFunSuite {
 
   test("ties break by insertion order (deterministic)") {
     val q = new EventQueue
-    val ids = (0 until 50).map(i => InstanceId(s"op$i", 0))
+    val ids = 0 until 50
     ids.foreach(id => q.schedule(5, Wake(id)))
-    val popped = (0 until 50).map(_ => q.pop()._2.asInstanceOf[Wake].id)
+    val popped = (0 until 50).map(_ => q.pop()._2.asInstanceOf[Wake].index)
     assert(popped == ids)
   }
 
@@ -89,7 +89,7 @@ class EventQueueSpec extends AnyFunSuite {
       var cleared = false
       script.forall {
         case Schedule(t) =>
-          q.schedule(t, Wake(InstanceId("e", inserted)))
+          q.schedule(t, Wake(inserted))
           model += ((t, inserted))
           inserted += 1
           scheduledAfterClear ||= cleared
@@ -103,7 +103,7 @@ class EventQueueSpec extends AnyFunSuite {
           val peeked = q.peekTime
           val (t, action) = q.pop()
           peeked == expected._1 && t == expected._1 &&
-            action == Wake(InstanceId("e", expected._2)) && q.size == model.size
+            action == Wake(expected._2) && q.size == model.size
         case Clear =>
           q.clear()
           model.clear()
