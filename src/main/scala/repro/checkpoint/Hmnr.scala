@@ -68,7 +68,7 @@ final class Hmnr extends Uncoordinated {
   private var n = 0
   private var index: Map[InstanceId, Int] = Map.empty
   private var procs: Array[ProcState] = _
-  private val encoders = scala.collection.mutable.Map.empty[ChannelId, ChannelEnc]
+  private var encoders: Map[ChannelId, ChannelEnc] = Map.empty
   /** Forced checkpoints taken. */
   var forcedCount: Long = 0L
 
@@ -78,7 +78,7 @@ final class Hmnr extends Uncoordinated {
     n = ids.size
     index = ids.zipWithIndex.toMap
     procs = Array.fill(n)(new ProcState(n))
-    encoders.clear()
+    encoders = ids.iterator.flatMap(r.graph.outChannels).map(_ -> new ChannelEnc).toMap
     forcedCount = 0L
   }
 
@@ -91,7 +91,7 @@ final class Hmnr extends Uncoordinated {
     * parallelism as the paper's do.
     */
   private def piggyBytes(ps: ProcState, ch: ChannelId): Int = {
-    val enc = encoders.getOrElseUpdate(ch, new ChannelEnc)
+    val enc = encoders(ch)
     val flags = 2
     val lcBytes = 5
     val bitset = (n + 7) / 8

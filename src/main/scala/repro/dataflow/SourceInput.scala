@@ -17,8 +17,11 @@ final case class SourceEvent(ts: Long, value: Any, bytes: Int)
   */
 final class SourceInput(perInstance: Map[InstanceId, IndexedSeq[SourceEvent]]) {
   perInstance.values.foreach { evs =>
-    require(evs.iterator.sliding(2).withPartial(false).forall(p => p.head.ts <= p(1).ts),
-      "source events must be sorted by ts")
+    var i = 1
+    while (i < evs.length) {
+      require(evs(i - 1).ts <= evs(i).ts, "source events must be sorted by ts")
+      i += 1
+    }
   }
 
   def events(id: InstanceId): IndexedSeq[SourceEvent] =

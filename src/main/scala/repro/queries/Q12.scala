@@ -1,5 +1,6 @@
 package repro.queries
 
+import scala.collection.immutable.TreeMap
 import repro.dataflow._
 import repro.nexmark._
 
@@ -10,16 +11,17 @@ import repro.nexmark._
   * after the window closes.
   */
 final class Q12CountLogic(windowMicros: Long, slackMicros: Long) extends OperatorLogic {
-  // window -> bidder -> running count
-  private var counts = Map.empty[Long, Map[Long, Long]]
+  // window -> bidder -> running count, ordered by window so expiry can
+  // test the oldest window instead of scanning every key
+  private var counts = TreeMap.empty[Long, Map[Long, Long]]
   private var watermark = 0L
 
   def onRecord(value: Any, fromOp: String, emit: Any => Unit): Unit = value match {
     case b: NxBid =>
       if (b.ts > watermark) {
         watermark = b.ts
-        val expired = math.max(0L, watermark - slackMicros) / windowMicros
-        counts = counts.removedAll(counts.keysIterator.filter(_ < expired - 1))
+        val live = math.max(0L, watermark - slackMicros) / windowMicros - 1
+        if (counts.nonEmpty && counts.firstKey < live) counts = counts.rangeFrom(live)
       }
       val w = b.ts / windowMicros
       val inWindow = counts.getOrElse(w, Map.empty[Long, Long])
@@ -31,7 +33,7 @@ final class Q12CountLogic(windowMicros: Long, slackMicros: Long) extends Operato
 
   def snapshot(): Any = (counts, watermark)
   def restore(s: Any): Unit = {
-    val (cs, wm) = s.asInstanceOf[(Map[Long, Map[Long, Long]], Long)]
+    val (cs, wm) = s.asInstanceOf[(TreeMap[Long, Map[Long, Long]], Long)]
     counts = cs; watermark = wm
   }
   def stateBytes: Long = counts.valuesIterator.map(_.size.toLong).sum * 40L + 16L

@@ -26,11 +26,8 @@ object QueryDef {
   /** Merge multiset sinks across parallel sink instances. */
   def mergeMultisets(rt: Runtime, sinkOp: String): Map[Any, Long] = {
     val m = scala.collection.mutable.Map.empty[Any, Long]
-    rt.allInstances.filter(_.id.op == sinkOp).foreach { inst =>
-      inst.logic.asInstanceOf[MultisetSink].counts.foreach { case (k, v) =>
-        m.updateWith(k)(c => Some(c.getOrElse(0L) + v))
-      }
-    }
+    rt.allInstances.filter(_.id.op == sinkOp)
+      .foreach(_.logic.asInstanceOf[MultisetSink].countInto(m))
     m.toMap
   }
 

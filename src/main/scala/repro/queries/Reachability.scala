@@ -59,9 +59,19 @@ final class ReachJoinLogic extends OperatorLogic {
     case DelLink(u, v, _) =>
       links = links.updatedWith(u)(_.map(_ - v).filter(_.nonEmpty))
       // Retract every derived fact whose path traverses (u, v).
-      retract(_.path.iterator.sliding(2).withPartial(false).exists(p => p.head == u && p(1) == v))
+      retract(f => traverses(f.path, u, v))
     case DelSource(id, _) => retract(_.id == id)
     case other => sys.error(s"reach join got $other")
+  }
+
+  /** Whether `path` steps from `u` straight to `v`. It runs for every fact
+    * of every join instance on each broadcast delete, so it allocates
+    * nothing.
+    */
+  private def traverses(path: Vector[Long], u: Long, v: Long): Boolean = {
+    var i = 1
+    while (i < path.length && !(path(i - 1) == u && path(i) == v)) i += 1
+    i < path.length
   }
 
   /** Drops every fact matching `p`, replacing only the sets that lose one. */

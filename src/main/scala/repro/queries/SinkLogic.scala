@@ -1,5 +1,6 @@
 package repro.queries
 
+import scala.collection.mutable
 import repro.dataflow.OperatorLogic
 
 /** Sink digest used for correctness verification.
@@ -15,16 +16,67 @@ import repro.dataflow.OperatorLogic
   * recovery and reflects exactly-once *processing* (external duplicates,
   * which the paper explicitly permits, never reach it twice in the
   * surviving lineage).
+  *
+  * The multiset sink records every output value in an append-only buffer
+  * and folds the counts only when they are read: sinks are not `counted`,
+  * so no virtual time reads their state, and a record costs one array
+  * store. A snapshot is an O(1) view of the first `n` records. Appends
+  * write only past the live size, which never drops below `n` in the
+  * buffer a view shares, and growth copies into a new array; `restore`
+  * copies the view into a fresh buffer. So no view's records are ever
+  * written again, and one view can be restored any number of times.
   */
 final class MultisetSink extends OperatorLogic {
-  private var state = Map.empty[Any, Long]
+  import MultisetSink._
+  private var buf = new Array[AnyRef](InitialCapacity)
+  private var size = 0
+  private def view = new Records(buf, size)
   /** Count per distinct output value. */
-  def counts: Map[Any, Long] = state
-  def onRecord(value: Any, fromOp: String, emit: Any => Unit): Unit =
-    state = state.updated(value, state.getOrElse(value, 0L) + 1L)
-  def snapshot(): Any = state
-  def restore(s: Any): Unit = state = s.asInstanceOf[Map[Any, Long]]
-  def stateBytes: Long = state.size.toLong * 48L
+  def counts: Map[Any, Long] = view.counts
+  /** Add the count of every recorded value to `into`. */
+  def countInto(into: mutable.Map[Any, Long]): Unit = view.countInto(into)
+  def onRecord(value: Any, fromOp: String, emit: Any => Unit): Unit = {
+    if (size == buf.length) buf = java.util.Arrays.copyOf(buf, 2 * size)
+    buf(size) = value.asInstanceOf[AnyRef]
+    size += 1
+  }
+  def snapshot(): Any = view
+  def restore(s: Any): Unit = {
+    val r = s.asInstanceOf[Records]
+    buf = java.util.Arrays.copyOf(r.buf, math.max(InitialCapacity, r.size))
+    size = r.size
+  }
+  def stateBytes: Long = counts.size.toLong * 48L
+}
+
+object MultisetSink {
+  private val InitialCapacity = 16
+
+  /** A sink snapshot: the first `size` records of `buf`, which nothing
+    * writes to any more. Two snapshots are equal when their digests are.
+    */
+  final class Records private[MultisetSink] (
+      private[MultisetSink] val buf: Array[AnyRef], private[MultisetSink] val size: Int) {
+    /** Add the count of every record to `into`. */
+    def countInto(into: mutable.Map[Any, Long]): Unit = {
+      var i = 0
+      while (i < size) {
+        into.updateWith(buf(i))(c => Some(c.getOrElse(0L) + 1L))
+        i += 1
+      }
+    }
+    /** Count per distinct record. */
+    def counts: Map[Any, Long] = {
+      val m = mutable.HashMap.empty[Any, Long]
+      countInto(m)
+      m.toMap
+    }
+    override def equals(o: Any): Boolean = o match {
+      case r: Records => counts == r.counts
+      case _          => false
+    }
+    override def hashCode: Int = counts.hashCode
+  }
 }
 
 /** Upsert-max sink: `key`/`value` project a group and a monotone measure. */
