@@ -45,7 +45,7 @@ object Recovery {
   /** The maximum consistent recovery line over `ckpts` (per instance, the
     * candidate checkpoints oldest first), as a worklist fixpoint over the
     * seq vectors: start from every instance's newest checkpoint; while some
-    * channel i -> j has `line(j).lastReceived(ch) > line(i).lastSent(ch)`
+    * channel i -> j of `topo` has `line(j).lastReceived(ch) > line(i).lastSent(ch)`
     * (an orphan message), move j back to its newest checkpoint that does
     * not orphan it, and recheck j's receivers. Vectors grow along each
     * instance's list, so j never moves below the greatest consistent line:
@@ -54,21 +54,12 @@ object Recovery {
     *
     * @return (recovery line, number of checkpoints rolled past per instance)
     */
-  def recoveryLine(ckpts: Map[InstanceId, IndexedSeq[CkptMeta]])
+  def recoveryLine(topo: LineTopology, ckpts: Map[InstanceId, IndexedSeq[CkptMeta]])
       : (Map[InstanceId, CkptMeta], Map[InstanceId, Int]) = {
-    val ids = ckpts.keys.toArray
-    val lists = ids.map(ckpts)
+    val ids = topo.ids
+    val lists = ids.map(ckpts).toArray
     require(lists.forall(_.nonEmpty), "every instance needs at least its initial checkpoint")
     val n = ids.length
-    val at = ids.iterator.zipWithIndex.toMap
-    // Channels between different instances: (channel, sender) per receiver,
-    // and the receivers of every sender.
-    val inbound = Array.fill(n)(mutable.ArrayBuffer.empty[(ChannelId, Int)])
-    val receivers = Array.fill(n)(mutable.ArrayBuffer.empty[Int])
-    for (i <- 0 until n; ch <- lists(i).last.lastSent.keysIterator; j <- at.get(ch.to) if j != i) {
-      inbound(j) += ((ch, i))
-      receivers(i) += j
-    }
     val pos = lists.map(_.length - 1)
     val queued = Array.fill(n)(true)
     val work = mutable.Queue.from(0 until n)
@@ -76,17 +67,22 @@ object Recovery {
       val j = work.dequeue()
       queued(j) = false
       var p = pos(j)
-      for ((ch, i) <- inbound(j)) {
+      val chans = topo.inCh(j)
+      var c = 0
+      while (c < chans.length) {
+        val ch = chans(c)
+        val i = topo.inFrom(j)(c)
         val sent = lists(i)(pos(i)).lastSent.getOrElse(ch, 0L)
         while (lists(j)(p).lastReceived.getOrElse(ch, 0L) > sent) {
           require(p > 0, s"the recovery line fell past the oldest checkpoint of ${ids(j)} — " +
             "initial checkpoints must form a consistent line")
           p -= 1
         }
+        c += 1
       }
       if (p < pos(j)) {
         pos(j) = p
-        receivers(j).foreach(k => if (!queued(k)) { queued(k) = true; work.enqueue(k) })
+        topo.receivers(j).foreach(k => if (!queued(k)) { queued(k) = true; work.enqueue(k) })
       }
     }
     val line = (0 until n).map(i => ids(i) -> lists(i)(pos(i))).toMap
@@ -99,9 +95,9 @@ object Recovery {
     * (receiver.lastReceived, sender.lastSent] from the message log, and
     * price the restart.
     */
-  def planLogged(rt: ProtocolRuntime, failTime: Long): RecoveryPlan = {
-    val ckpts = rt.graph.instances.map(id => id -> rt.store.durable(id, failTime)).toMap
-    val (line, rolledPast) = recoveryLine(ckpts)
+  def planLogged(rt: ProtocolRuntime, topo: LineTopology, failTime: Long): RecoveryPlan = {
+    val ckpts = durable(rt, topo, failTime)
+    val (line, rolledPast) = recoveryLine(topo, ckpts)
 
     // Invalid checkpoints: counted checkpoints the algorithm rolled past —
     // they cannot be part of this (or any fresher) consistent recovery line.
@@ -134,12 +130,47 @@ object Recovery {
     * line checkpoint has already applied. Drops both; charges no virtual
     * time.
     */
-  def collect(rt: ProtocolRuntime, now: Long): Unit = {
-    val ckpts = rt.graph.instances.map(id => id -> rt.store.durable(id, now)).toMap
-    val (line, _) = recoveryLine(ckpts)
+  def collect(rt: ProtocolRuntime, topo: LineTopology, now: Long): Unit = {
+    val (line, _) = recoveryLine(topo, durable(rt, topo, now))
     line.valuesIterator.foreach { meta =>
       rt.store.collectBelow(meta.id, meta.idx, now)
       meta.lastReceived.foreach { case (ch, seq) => rt.log.collectThrough(ch, seq) }
     }
   }
+
+  /** Every instance's checkpoints durable at `at`, oldest first. */
+  private def durable(rt: ProtocolRuntime, topo: LineTopology, at: Long)
+      : Map[InstanceId, IndexedSeq[CkptMeta]] =
+    topo.ids.iterator.map(id => id -> rt.store.durable(id, at)).toMap
+}
+
+/** The channels the recovery-line search walks, which the dataflow's
+  * topology fixes: for instance `j` (its index in `ids`), its input
+  * channels from other instances (`inCh(j)`, sent by `inFrom(j)`), and the
+  * instances it sends to (`receivers(j)`). Built once per run.
+  */
+final class LineTopology private (
+    val ids: IndexedSeq[InstanceId],
+    val inCh: Array[Array[ChannelId]],
+    val inFrom: Array[Array[Int]],
+    val receivers: Array[Array[Int]],
+)
+
+object LineTopology {
+  /** The instances `ids` and every channel between two of them. */
+  def apply(ids: IndexedSeq[InstanceId], channels: Iterable[ChannelId]): LineTopology = {
+    val at = ids.iterator.zipWithIndex.toMap
+    val cross = for (ch <- channels.toSeq; i <- at.get(ch.from); j <- at.get(ch.to) if j != i)
+      yield (ch, i, j)
+    val byReceiver = cross.groupBy(_._3)
+    val bySender = cross.groupBy(_._2)
+    def per[A: scala.reflect.ClassTag](groups: Map[Int, Seq[(ChannelId, Int, Int)]])(
+        f: ((ChannelId, Int, Int)) => A): Array[Array[A]] =
+      Array.tabulate(ids.length)(j => groups.getOrElse(j, Nil).map(f).toArray)
+    new LineTopology(ids, per(byReceiver)(_._1), per(byReceiver)(_._2), per(bySender)(_._3))
+  }
+
+  /** Every instance of `graph` and every channel of its wiring. */
+  def apply(graph: Graph): LineTopology =
+    apply(graph.wiring.instances, graph.wiring.outCh.flatMap(_.iterator))
 }

@@ -35,10 +35,12 @@ class Uncoordinated extends Protocol {
   /** Checkpoints made durable since the last collection. */
   private var durableSinceCollect = 0
   private var nInstances = 0
+  private var topology: LineTopology = _
 
   def init(r: ProtocolRuntime): Unit = {
     rt = r
     nInstances = r.graph.instances.size
+    topology = LineTopology(r.graph)
   }
 
   def onStart(): Unit = {
@@ -77,7 +79,7 @@ class Uncoordinated extends Protocol {
     durableSinceCollect += 1
     if (durableSinceCollect >= nInstances) {
       durableSinceCollect = 0
-      Recovery.collect(rt, now)
+      Recovery.collect(rt, topology, now)
     }
   }
 
@@ -91,5 +93,5 @@ class Uncoordinated extends Protocol {
     }
   }
 
-  def plan(failTime: Long): RecoveryPlan = Recovery.planLogged(rt, failTime)
+  def plan(failTime: Long): RecoveryPlan = Recovery.planLogged(rt, topology, failTime)
 }

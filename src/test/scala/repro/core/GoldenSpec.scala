@@ -3,6 +3,7 @@ package repro.core
 import java.security.MessageDigest
 import org.scalatest.funsuite.AnyFunSuite
 import repro.SimTestKit
+import repro.dataflow.Runtime
 import repro.queries._
 
 /** Bit-identity guard for the simulator. Every cell of a small fixed grid
@@ -17,16 +18,10 @@ import repro.queries._
 class GoldenSpec extends AnyFunSuite {
   import GoldenSpec._
 
-  private val reach = Reachability(ReachConfig(nNodes = 3000L, ratePerSec = 0, durationMicros = 0))
-  private val cells: Seq[(QueryDef, String)] =
-    (for (q <- Seq(Q1, Q3, Q8(), Q12()); p <- Seq("COOR", "UNC", "CIC")) yield q -> p) ++
-      Seq(reach -> "UNC", reach -> "CIC")
-
   for ((q, p) <- cells) {
     val label = s"${q.name}/$p"
     test(s"$label outputs are bit-identical to the recorded golden hash") {
-      val (rt, res) = SimTestKit.run(q, p, 3, rate = 150.0,
-        horizonMicros = 8_000_000L, failAt = Some(5_000_000L))
+      val (rt, res) = runCell(q, p)
       val text = describe(res, q.sinkDigest(rt))
       assert(hash(text) == Expected(label),
         s"$label changed; its outputs are now: ${text.take(600)}")
@@ -35,6 +30,19 @@ class GoldenSpec extends AnyFunSuite {
 }
 
 object GoldenSpec {
+  private val reach = Reachability(ReachConfig(nNodes = 3000L, ratePerSec = 0, durationMicros = 0))
+
+  /** The grid: every NexMark query under every protocol, and the cyclic
+    * query under UNC and CIC.
+    */
+  val cells: Seq[(QueryDef, String)] =
+    (for (q <- Seq(Q1, Q3, Q8(), Q12()); p <- Seq("COOR", "UNC", "CIC")) yield q -> p) ++
+      Seq(reach -> "UNC", reach -> "CIC")
+
+  /** One cell's run: 3 workers, input over 8 s, a failure at 5 s. */
+  def runCell(q: QueryDef, p: String): (Runtime, ExpResult) =
+    SimTestKit.run(q, p, 3, rate = 150.0, horizonMicros = 8_000_000L, failAt = Some(5_000_000L))
+
   /** Every field of `res` but its config, then the sorted sink digest. */
   def describe(res: ExpResult, digest: Map[Any, Long]): String = {
     val fields = res.productElementNames.zip(res.productIterator).drop(1)

@@ -13,10 +13,11 @@ import repro.dataflow.{ChannelId, InstanceId}
   */
 object RecoveryLineProps extends Properties("RecoveryLine") {
 
-  /** Per-instance checkpoint lists: an all-zero initial checkpoint, then
-    * seq vectors that never decrease along the list.
+  /** The random topology, and per-instance checkpoint lists over it: an
+    * all-zero initial checkpoint, then seq vectors that never decrease
+    * along the list.
     */
-  private val histories: Gen[Map[InstanceId, IndexedSeq[CkptMeta]]] = for {
+  private val histories: Gen[(LineTopology, Map[InstanceId, IndexedSeq[CkptMeta]])] = for {
     n <- Gen.choose(2, 6)
     ids = (0 until n).map(i => InstanceId(s"op${i % 3}", i / 3))
     edges <- Gen.listOf(for {
@@ -32,7 +33,7 @@ object RecoveryLineProps extends Properties("RecoveryLine") {
   } yield {
     val sentOf = chans.zip(sent).toMap
     val recvOf = chans.zip(recv).toMap
-    ids.map { id =>
+    LineTopology(ids, chans) -> ids.map { id =>
       id -> (0 until len(id)).map { x =>
         CkptMeta(id, x, if (x == 0) InitialCkpt else LocalCkpt, x.toLong, x.toLong, 0L, (),
           chans.filter(_.from == id).map(ch => ch -> sentOf(ch)(x)).toMap,
@@ -43,20 +44,20 @@ object RecoveryLineProps extends Properties("RecoveryLine") {
   }
 
   property("fixpoint line and rolled-past counts equal Algorithm 1's") =
-    Prop.forAll(histories) { ckpts =>
+    Prop.forAll(histories) { case (topo, ckpts) =>
       val oracle = RollbackPropagation.recoveryLine(new CheckpointGraph(ckpts))
-      val fixpoint = Recovery.recoveryLine(ckpts)
+      val fixpoint = Recovery.recoveryLine(topo, ckpts)
       (fixpoint == oracle) :| s"fixpoint $fixpoint vs Algorithm 1 $oracle"
     }
 
   property("the line is the same over any durable suffix that contains it") =
-    Prop.forAll(histories, Gen.choose(0, 5)) { (ckpts, drop) =>
+    Prop.forAll(histories, Gen.choose(0, 5)) { case ((topo, ckpts), drop) =>
       // Collection keeps the line and everything newer, so a plan over the
       // collected lists must find the same line.
-      val (line, _) = Recovery.recoveryLine(ckpts)
+      val (line, _) = Recovery.recoveryLine(topo, ckpts)
       val collected = ckpts.map { case (id, ms) =>
         id -> ms.drop(math.min(drop, ms.indexOf(line(id))))
       }
-      Recovery.recoveryLine(collected)._1 == line
+      Recovery.recoveryLine(topo, collected)._1 == line
     }
 }
