@@ -69,8 +69,6 @@ final class Hmnr extends Uncoordinated {
   private var index: Map[InstanceId, Int] = Map.empty
   private var procs: Array[ProcState] = _
   private var encoders: Map[ChannelId, ChannelEnc] = Map.empty
-  /** Forced checkpoints taken. */
-  var forcedCount: Long = 0L
 
   override def init(r: ProtocolRuntime): Unit = {
     super.init(r)
@@ -79,7 +77,6 @@ final class Hmnr extends Uncoordinated {
     index = ids.zipWithIndex.toMap
     procs = Array.fill(n)(new ProcState(n))
     encoders = ids.iterator.flatMap(r.graph.outChannels).map(_ -> new ChannelEnc).toMap
-    forcedCount = 0L
   }
 
   /** Wire size of one piggyback: flags + varint Lamport clock, the two
@@ -126,7 +123,6 @@ final class Hmnr extends Uncoordinated {
       case Some(p) =>
         val sender = index(msg.channel.from)
         val force = ps.sentSince && ((ps.sentTo(sender) && p.lc > ps.lc) || p.taken(me))
-        if (force) forcedCount += 1
         // Merge the piggybacked knowledge into the receiver's state.
         if (p.lc > ps.lc) ps.lc = p.lc
         var k = 0

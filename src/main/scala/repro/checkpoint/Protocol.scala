@@ -97,7 +97,7 @@ trait ProtocolRuntime {
     */
   def requestCheckpoint(id: InstanceId, kind: CkptKind): Unit
   /** Take a checkpoint right now (after any in-progress work), synchronously. */
-  def checkpointNow(id: InstanceId, kind: CkptKind): CkptMeta
+  def checkpointNow(id: InstanceId, kind: CkptKind): Unit
   /** Send COOR markers for `round` on all out-channels of `inst`. */
   def sendMarkers(id: InstanceId, round: Int): Unit
   /** Account control-plane protocol bytes (RPCs, checkpoint metadata). */

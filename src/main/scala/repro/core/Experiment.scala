@@ -81,17 +81,13 @@ object Experiment {
 
   def freeze(cfg: ExpConfig, rt: Runtime, protocol: Protocol): ExpResult = {
     val m = rt.metrics
-    protocol match {
-      case c: Coordinated => c.censorOpenRound(cfg.sim.endMicros)
-      case _              => ()
+    val avgCkpt = protocol match {
+      case c: Coordinated =>
+        c.censorOpenRound(cfg.sim.endMicros)
+        mean(m.roundDurationMicros.toSeq)
+      case _ => mean(m.ckptSyncMicros.toSeq)
     }
-    val avgCkpt = protocol.name match {
-      case "COOR" => mean(m.roundDurationMicros.toSeq)
-      case _      => mean(m.ckptSyncMicros.toSeq)
-    }
-    val lats = new Array[Long](m.latencies.length)
-    var i = 0
-    while (i < lats.length) { lats(i) = m.latencies(i).latencyMicros; i += 1 }
+    val lats = m.latencies
     java.util.Arrays.sort(lats)
     def pct(q: Double): Long =
       if (lats.isEmpty) 0L else lats(math.min(lats.length - 1, (q * lats.length).toInt))

@@ -133,13 +133,6 @@ final case class Graph(ops: Seq[OperatorSpec], edges: Seq[Edge], parallelism: In
     ops.exists(o => color.getOrElse(o.name, 0) == 0 && dfs(o.name))
   }
 
-  /** Target subtask indices for a record emitted on edge `e` from subtask `fromIdx`. */
-  def route(e: Edge, fromIdx: Int, value: Any): Seq[Int] = e.part match {
-    case ForwardPart   => Seq(fromIdx)
-    case BroadcastPart => 0 until parallelism
-    case HashPart      => Seq(hashTarget(e, value))
-  }
-
   /** Target subtask of a record on a [[HashPart]] edge. */
   def hashTarget(e: Edge, value: Any): Int =
     math.floorMod(scala.util.hashing.byteswap64(e.key(value)), parallelism.toLong).toInt

@@ -183,7 +183,7 @@ final class Runtime(
     if (inst.spec.isSink) {
       inst.logic.onRecord(value, fromOp, _ => ())
       if (busy >= cfg.warmupMicros && busy <= cfg.endMicros) {
-        metrics.recordLatency(busy, busy - srcTs)
+        metrics.recordLatency(busy - srcTs)
         metrics.sinkRecords += 1
       }
     } else {
@@ -253,14 +253,14 @@ final class Runtime(
     }
   }
 
-  def checkpointNow(id: InstanceId, kind: CkptKind): CkptMeta =
+  def checkpointNow(id: InstanceId, kind: CkptKind): Unit =
     performCheckpoint(insts(id), kind)
 
   /** Take a checkpoint of `inst` starting at max(now, busyUntil): a
     * synchronous snapshot (blocks the instance) followed by an async upload
     * that makes it durable.
     */
-  def performCheckpoint(inst: Instance, kind: CkptKind): CkptMeta = {
+  private def performCheckpoint(inst: Instance, kind: CkptKind): Unit = {
     val bytes = inst.stateBytes + protocol.ckptExtraBytes(inst)
     val sync = cfg.snapshotMicros(bytes)
     val startAt = math.max(clock, inst.busyUntil)
@@ -276,7 +276,6 @@ final class Runtime(
     if (meta.counted && takenAt >= cfg.warmupMicros && takenAt <= cfg.endMicros)
       metrics.ckptSyncMicros += sync
     protocol.onCheckpoint(inst, meta, takenAt)
-    meta
   }
 
   def sendMarkers(id: InstanceId, round: Int): Unit = {

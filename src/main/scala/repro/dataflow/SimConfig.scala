@@ -6,9 +6,11 @@ package repro.dataflow
   * at the same orders of magnitude as the paper's testbed.
   *
   * @param netLatencyMicros    one-way channel propagation delay
-  * @param serdeMicrosPerKb    CPU cost per KiB to (de)serialize a message —
-  *                            charged on send and on receive; this is the
-  *                            lever through which CIC's piggyback lowers MST
+  * @param serdeMicrosPerKb    CPU cost per KiB to (de)serialize a message,
+  *                            charged on send and on receive. CIC's
+  *                            piggyback adds about 0.05 % per hop at this
+  *                            value, so COOR, UNC and CIC reach equal MSTs
+  *                            (the paper's Fig. 7 gap is not reproduced)
   * @param rpcLatencyMicros    worker <-> coordinator control-plane latency
   * @param storePutMicros      durable-store PUT base latency
   * @param storeMicrosPerKb    durable-store transfer cost per KiB

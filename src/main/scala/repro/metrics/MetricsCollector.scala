@@ -2,11 +2,9 @@ package repro.metrics
 
 import scala.collection.mutable
 
-/** One end-to-end latency observation at a sink. */
-final case class LatencyObs(atMicros: Long, latencyMicros: Long)
-
 /** Mutable per-run measurement sink. The Runtime and the protocols write
-  * into this; [[RunResult]] freezes it at the end of a run.
+  * into this; `Experiment.freeze` turns it into an [[repro.core.ExpResult]]
+  * at the end of a run.
   *
   * Byte counters and checkpoint statistics are gated to the measurement
   * window [warmupStart, end] by the callers.
@@ -19,8 +17,14 @@ final class MetricsCollector {
   /** Data messages sent in the window. */
   var dataMessages: Long = 0L
 
-  /** Sink latencies (measurement window only). */
-  val latencies = mutable.ArrayBuffer.empty[LatencyObs]
+  /** Sink latencies (measurement window only): the first `nLatencies`
+    * slots, in recording order.
+    */
+  private var lat = new Array[Long](MetricsCollector.InitialLatencyCapacity)
+  private var nLatencies = 0
+
+  /** A copy of the sink latencies, in recording order. */
+  def latencies: Array[Long] = java.util.Arrays.copyOf(lat, nLatencies)
 
   /** Synchronous checkpoint durations (UNC/CIC "checkpointing time"). */
   val ckptSyncMicros = mutable.ArrayBuffer.empty[Long]
@@ -52,5 +56,13 @@ final class MetricsCollector {
   /** Max backlog observed across instances (stability/backpressure probe). */
   var maxQueuedMessages: Int = 0
 
-  def recordLatency(at: Long, lat: Long): Unit = latencies += LatencyObs(at, lat)
+  def recordLatency(latency: Long): Unit = {
+    if (nLatencies == lat.length) lat = java.util.Arrays.copyOf(lat, 2 * lat.length)
+    lat(nLatencies) = latency
+    nLatencies += 1
+  }
+}
+
+object MetricsCollector {
+  private[metrics] val InitialLatencyCapacity = 1024
 }

@@ -2,10 +2,10 @@ package repro.nexmark
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
 
-/** Spark DataFrame views of the NexMark-lite streams — the workload side
-  * of the reproduction, extending the provided [[repro.SynthData]]
-  * generators with the paper's schema. Deterministic in the generator
-  * config, so the DuckDB oracle sees identical input.
+/** Spark DataFrame views of the NexMark-lite streams, in the paper's
+  * schema: the input of the Spark references and the DuckDB oracle.
+  * Deterministic in the generator config, so the oracle sees identical
+  * input.
   */
 object NexmarkData {
 

@@ -1,7 +1,7 @@
 package repro.checkpoint
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.SimTestKit
+import repro.{Recorder, SimTestKit}
 import repro.queries._
 
 /** CIC/HMNR-specific behaviour: piggybacks, forced checkpoints, overhead. */
@@ -49,29 +49,28 @@ class HmnrSpec extends AnyFunSuite {
 
   private def cyclicQ = Reachability(ReachConfig(5000, 0.0, 0L))
 
+  /** Forced checkpoints of a run, from its whole checkpoint history. */
+  private def forced(history: Recorder): Int = history.store.allMetas.count(_.kind == ForcedCkpt)
+
   test("forced checkpoints occur on cyclic communication and are tagged") {
     val (_, _, history) =
       SimTestKit.recordedRun(cyclicQ, "CIC", 3, rate = 150.0, horizonMicros = 12_000_000L)
-    val hmnr = history.inner.asInstanceOf[Hmnr]
-    val forcedMetas = history.store.allMetas.count(_.kind == ForcedCkpt)
-    assert(hmnr.forcedCount > 0, "HMNR never forced a checkpoint on the cyclic query")
-    assert(forcedMetas > 0)
+    assert(forced(history) > 0, "HMNR never forced a checkpoint on the cyclic query")
   }
 
   test("forward-only (acyclic) topologies force no checkpoints (sent_to damping)") {
-    val (rt, _) = SimTestKit.run(Q3, "CIC", 3, rate = 150.0, horizonMicros = 12_000_000L)
-    val hmnr = rt.protocol.asInstanceOf[Hmnr]
-    assert(hmnr.forcedCount == 0,
+    val (_, _, history) =
+      SimTestKit.recordedRun(Q3, "CIC", 3, rate = 150.0, horizonMicros = 12_000_000L)
+    assert(forced(history) == 0,
       "no Z-cycle can close on a forward-only topology, so nothing should be forced")
   }
 
   test("forced-checkpoint rate is bounded (no livelock on cycles)") {
-    val (rt, res) = SimTestKit.run(cyclicQ, "CIC", 3, rate = 150.0,
+    val (rt, res, history) = SimTestKit.recordedRun(cyclicQ, "CIC", 3, rate = 150.0,
       horizonMicros = 12_000_000L)
-    val hmnr = rt.protocol.asInstanceOf[Hmnr]
     assert(res.unconsumed == 0)
-    assert(hmnr.forcedCount < rt.metrics.processedRecords / 5,
-      s"forced ${hmnr.forcedCount} of ${rt.metrics.processedRecords} processed")
+    assert(forced(history) < rt.metrics.processedRecords / 5,
+      s"forced ${forced(history)} of ${rt.metrics.processedRecords} processed")
   }
 
   test("CIC checkpoints carry extra protocol bytes (vectors)") {

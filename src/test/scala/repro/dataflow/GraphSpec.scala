@@ -53,19 +53,30 @@ class GraphSpec extends AnyFunSuite {
     }
   }
 
+  /** The channel that `Runtime.applyRecord` sends on from subtask `from` of
+    * `e.from` to subtask `to` of `e.to`, or None where the edge has none.
+    */
+  private def routed(g: Graph, e: Edge, from: Int, to: Int): Option[ChannelId] = {
+    val i = g.wiring.index(InstanceId(e.from, from))
+    val r = g.wiring.routes(i).find(_.edge == e).get
+    Option.when(r.outIdx(to) >= 0)(g.wiring.outCh(i)(r.outIdx(to)))
+  }
+
   test("hash routing is deterministic and in range") {
     val g = lin(7)
     val e = g.edges.head
     (1L to 100L).foreach { k =>
-      val r1 = g.route(e, 0, k)
-      assert(r1 == g.route(e, 3, k), "hash routing must not depend on sender")
-      assert(r1.size == 1 && r1.head >= 0 && r1.head < 7)
+      val t = g.hashTarget(e, k)
+      assert(t >= 0 && t < 7 && t == g.hashTarget(e, k))
+      for (s <- 0 until 7)
+        assert(routed(g, e, s, t).contains(ChannelId(InstanceId("a", s), InstanceId("b", t))),
+          "every sender must have a channel to the hash target")
     }
   }
 
   test("broadcast routes to every instance") {
     val g = Graph(lin(4).ops, Seq(Edge("a", "b", BroadcastPart)), 4)
-    assert(g.route(g.edges.head, 1, 42L) == (0 until 4))
+    assert((0 until 4).map(routed(g, g.edges.head, 1, _).map(_.to.idx)) == (0 until 4).map(Some(_)))
   }
 
   test("acyclic graph detected as such") {

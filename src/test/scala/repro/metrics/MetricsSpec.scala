@@ -1,43 +1,36 @@
 package repro.metrics
 
-import repro.SparkSpec
+import org.scalatest.funsuite.AnyFunSuite
+import repro.SimTestKit
+import repro.queries.Q1
 import scala.util.Random
 
-class MetricsSpec extends SparkSpec {
-
-  private def obs(n: Int, seed: Int): Seq[LatencyObs] = {
-    val rnd = new Random(seed)
-    (0 until n).map(i => LatencyObs(i * 1000L, 1000L + rnd.nextInt(100000)))
-  }
-
-  test("percentile_approx agrees with the exact percentile within tolerance") {
-    val xs = obs(5000, 42)
-    val (p50, p99) = LatencySeries.overall(spark, xs)
-    val lats = xs.map(_.latencyMicros)
-    val e50 = LatencySeries.exactPercentile(lats, 0.5).toDouble
-    val e99 = LatencySeries.exactPercentile(lats, 0.99).toDouble
-    assert(math.abs(p50 - e50) / e50 < 0.05, s"p50 approx $p50 vs exact $e50")
-    assert(math.abs(p99 - e99) / e99 < 0.05, s"p99 approx $p99 vs exact $e99")
-  }
-
-  test("per-second series buckets observations correctly") {
-    val xs = Seq(LatencyObs(100, 10), LatencyObs(500_000, 20),
-      LatencyObs(1_200_000, 30), LatencyObs(2_500_000, 40))
-    val rows = LatencySeries.perSecond(spark, xs).collect()
-    assert(rows.map(_.getLong(0)).toSeq == Seq(0L, 1L, 2L))
-    assert(rows.map(_.getLong(3)).toSeq == Seq(2L, 1L, 1L))
-  }
-
-  test("empty observations yield zeros, not errors") {
-    assert(LatencySeries.overall(spark, Nil) == (0.0, 0.0))
-    assert(LatencySeries.exactPercentile(Nil, 0.5) == 0L)
-  }
+class MetricsSpec extends AnyFunSuite {
 
   test("collector accumulates into frozen results deterministically") {
     val m = new MetricsCollector
     m.dataBytes = 100; m.protoBytes = 10
-    m.recordLatency(5, 50); m.recordLatency(6, 60)
+    m.recordLatency(50); m.recordLatency(60)
     assert(m.latencies.size == 2)
-    assert(m.latencies.map(_.latencyMicros).sum == 110)
+    assert(m.latencies.sum == 110)
+  }
+
+  test("empty observations yield zeros, not errors") {
+    assert(new MetricsCollector().latencies.isEmpty)
+    // Input ends at 0.5 s and drains long before the window opens at 1 s.
+    val (_, res) = SimTestKit.run(Q1, "UNC", 2, rate = 100.0, horizonMicros = 500_000L)
+    assert(res.sinkRecords == 0 && res.p50Micros == 0L && res.p99Micros == 0L)
+  }
+
+  test("the latency buffer keeps every value in order past its initial capacity") {
+    val m = new MetricsCollector
+    val rnd = new Random(42)
+    val xs = Seq.fill(3 * MetricsCollector.InitialLatencyCapacity + 5)(rnd.nextLong())
+    xs.foreach(m.recordLatency)
+    assert(m.latencies.toSeq == xs)
+    val sorted = m.latencies
+    java.util.Arrays.sort(sorted)
+    assert(sorted.toSeq == xs.sorted)
+    assert(m.latencies.toSeq == xs, "sorting the copy must leave the collector unchanged")
   }
 }

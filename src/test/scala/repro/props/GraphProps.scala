@@ -12,17 +12,25 @@ object GraphProps extends Properties("Graph") {
       OperatorSpec("b", () => new PassThrough, stateful = true)),
     Seq(Edge("a", "b", HashPart, key = _.asInstanceOf[Long])), p)
 
+  /** Every sender of `a` has a channel to subtask `t` of `b`. */
+  private def everySenderReaches(g: Graph, t: Int): Boolean =
+    (0 until g.parallelism).forall { s =>
+      val i = g.wiring.index(InstanceId("a", s))
+      val k = g.wiring.routes(i).head.outIdx(t)
+      k >= 0 && g.wiring.outCh(i)(k).to == InstanceId("b", t)
+    }
+
   property("hash routing is total and stable") =
     Prop.forAll(Gen.choose(1, 16), Gen.choose(Long.MinValue, Long.MaxValue)) { (p, k) =>
       val g = lin(p)
-      val r = g.route(g.edges.head, 0, k)
-      r.size == 1 && r.head >= 0 && r.head < p && r == g.route(g.edges.head, p - 1, k)
+      val t = g.hashTarget(g.edges.head, k)
+      t >= 0 && t < p && t == g.hashTarget(g.edges.head, k) && everySenderReaches(g, t)
     }
 
   property("hash routing spreads keys across instances") =
     Prop.forAll(Gen.choose(4, 12)) { p =>
       val g = lin(p)
-      val targets = (1L to 500L).map(k => g.route(g.edges.head, 0, k).head).toSet
+      val targets = (1L to 500L).map(k => g.hashTarget(g.edges.head, k)).toSet
       targets.size == p
     }
 

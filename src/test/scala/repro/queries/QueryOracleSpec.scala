@@ -14,6 +14,24 @@ class QueryOracleSpec extends SparkSpec {
   private lazy val evsPA = NexmarkGen.events(cfg.copy(include = Set("person", "auction")))
   private lazy val evsB  = NexmarkGen.events(cfg.copy(include = Set("bid")))
 
+  test("NexmarkData exposes the three streams as DataFrames") {
+    val evs5 = NexmarkGen.events(NexmarkConfig(500.0, 5_000_000L, seed = 5L))
+    val p = NexmarkData.personsDf(spark, evs5)
+    val a = NexmarkData.auctionsDf(spark, evs5)
+    val b = NexmarkData.bidsDf(spark, evs5)
+    assert(p.columns.toSet == Set("id", "name", "city", "state", "ts"))
+    assert(a.columns.toSet == Set("id", "seller", "category", "ts", "expires"))
+    assert(b.columns.toSet == Set("auction", "bidder", "price", "ts"))
+    assert(p.count() + a.count() + b.count() == 2500L)
+  }
+
+  test("NexmarkData DataFrames are deterministic in the config") {
+    val cfg9 = NexmarkConfig(200.0, 5_000_000L, seed = 9L)
+    val c1 = NexmarkData.bidsDf(spark, NexmarkGen.events(cfg9)).collect().toSeq
+    val c2 = NexmarkData.bidsDf(spark, NexmarkGen.events(cfg9)).collect().toSeq
+    assert(c1 == c2)
+  }
+
   test("Q1 Spark reference matches DuckDB") {
     Oracle.assertEquivalent(SparkRefs.q1(spark, evsB), SparkRefs.q1Sql,
       "bid" -> NexmarkData.bidsDf(spark, evsB))
