@@ -25,7 +25,7 @@ import repro.dataflow._
   *
   * Piggybacks are priced with a realistic compact wire format: varint
   * Lamport clock, delta-encoded vector clock (full vector on first use of
-  * a channel), and bit-packed boolean vectors sent only when changed.
+  * a channel), and the two boolean vectors bit-packed in full.
   */
 final class Hmnr extends Uncoordinated {
   override def name = "CIC"
@@ -41,10 +41,8 @@ final class Hmnr extends Uncoordinated {
     val greater = new Array[Boolean](n)
     val sentTo  = new Array[Boolean](n)
     var sentSince = false
-    // Update counters drive delta-encoded piggyback sizing.
+    // Counts `ckpt` updates; drives delta-encoded piggyback sizing.
     var ckptUpdates: Long = 0L
-    var takenUpdates: Long = 0L
-    var greaterUpdates: Long = 0L
     // Cached immutable piggyback arrays, shared until the next mutation.
     var snapCkpt: Array[Int] = _
     var snapTaken: Array[Boolean] = _
@@ -57,26 +55,21 @@ final class Hmnr extends Uncoordinated {
     }
   }
 
-  /** Sender-side per-channel encoder state for delta sizing. */
-  private final class ChannelEnc {
-    var initialized = false
-    var ckptSeen: Long = -1L
-    var takenSeen: Long = -1L
-    var greaterSeen: Long = -1L
-  }
-
   private var n = 0
-  private var index: Map[InstanceId, Int] = Map.empty
+  private var wiring: Wiring = _
   private var procs: Array[ProcState] = _
-  private var encoders: Map[ChannelId, ChannelEnc] = Map.empty
+  /** Sender-side delta-sizing state of each channel, at `sender * n +
+    * receiver`: the sender's `ckptUpdates` when it last sent on the
+    * channel, or -1 before the channel's first message.
+    */
+  private var ckptSeen: Array[Long] = _
 
   override def init(r: ProtocolRuntime): Unit = {
     super.init(r)
-    val ids = r.graph.instances.toIndexedSeq
-    n = ids.size
-    index = ids.zipWithIndex.toMap
+    wiring = r.graph.wiring
+    n = wiring.instances.size
     procs = Array.fill(n)(new ProcState(n))
-    encoders = ids.iterator.flatMap(r.graph.outChannels).map(_ -> new ChannelEnc).toMap
+    ckptSeen = Array.fill(n * n)(-1L)
   }
 
   /** Wire size of one piggyback: flags + varint Lamport clock, the two
@@ -87,41 +80,39 @@ final class Hmnr extends Uncoordinated {
     * the resulting Table II ratios land in the paper's band and grow with
     * parallelism as the paper's do.
     */
-  private def piggyBytes(ps: ProcState, ch: ChannelId): Int = {
-    val enc = encoders(ch)
+  private def piggyBytes(ps: ProcState, from: Int, to: Int): Int = {
+    val ch = from * n + to
     val flags = 2
     val lcBytes = 5
     val bitset = (n + 7) / 8
     val ckptBytes =
-      if (!enc.initialized) 2 + 2 * n
+      if (ckptSeen(ch) < 0) 2 + 2 * n
       else {
-        val changed = math.min(n.toLong, ps.ckptUpdates - enc.ckptSeen)
+        val changed = math.min(n.toLong, ps.ckptUpdates - ckptSeen(ch))
         2 + bitset + 4 * changed.toInt
       }
-    val total = flags + lcBytes + ckptBytes + 2 * (1 + bitset)
-    enc.initialized = true
-    enc.ckptSeen = ps.ckptUpdates
-    enc.takenSeen = ps.takenUpdates
-    enc.greaterSeen = ps.greaterUpdates
-    total
+    ckptSeen(ch) = ps.ckptUpdates
+    flags + lcBytes + ckptBytes + 2 * (1 + bitset)
   }
 
   override def piggybackFor(sender: InstanceId, channel: ChannelId, now: Long): Option[Piggyback] = {
-    val ps = procs(index(sender))
+    val from = wiring.index(sender)
+    val to = wiring.index(channel.to)
+    val ps = procs(from)
     ps.sentSince = true
-    ps.sentTo(index(channel.to)) = true
+    ps.sentTo(to) = true
     ps.refreshSnap()
-    val bytes = piggyBytes(ps, channel)
+    val bytes = piggyBytes(ps, from, to)
     Some(Piggyback(ps.lc, ps.snapCkpt, ps.snapTaken, ps.snapGreater, bytes))
   }
 
   override def beforeApply(inst: Instance, msg: Msg, now: Long): Boolean = {
-    val me = index(inst.id)
+    val me = inst.index
     val ps = procs(me)
     msg.piggyback match {
       case None => false
       case Some(p) =>
-        val sender = index(msg.channel.from)
+        val sender = wiring.index(msg.channel.from)
         val force = ps.sentSince && ((ps.sentTo(sender) && p.lc > ps.lc) || p.taken(me))
         // Merge the piggybacked knowledge into the receiver's state.
         if (p.lc > ps.lc) ps.lc = p.lc
@@ -129,33 +120,33 @@ final class Hmnr extends Uncoordinated {
         while (k < n) {
           if (p.ckpt(k) > ps.ckpt(k)) {
             ps.ckpt(k) = p.ckpt(k)
-            if (ps.taken(k) != p.taken(k)) { ps.taken(k) = p.taken(k); ps.takenUpdates += 1 }
+            ps.taken(k) = p.taken(k)
             ps.ckptUpdates += 1
             ps.dirty = true
           } else if (p.ckpt(k) == ps.ckpt(k) && p.taken(k) && !ps.taken(k)) {
-            ps.taken(k) = true; ps.takenUpdates += 1; ps.dirty = true
+            ps.taken(k) = true; ps.dirty = true
           }
           k += 1
         }
         // A causal path through the sender's current interval now reaches us.
         if (p.ckpt(sender) >= ps.ckpt(sender) && !ps.taken(sender)) {
-          ps.taken(sender) = true; ps.takenUpdates += 1; ps.dirty = true
+          ps.taken(sender) = true; ps.dirty = true
         }
         val g = ps.lc > p.lc
         if (ps.greater(sender) != g) {
-          ps.greater(sender) = g; ps.greaterUpdates += 1; ps.dirty = true
+          ps.greater(sender) = g; ps.dirty = true
         }
         force
     }
   }
 
   override def onCheckpoint(inst: Instance, meta: CkptMeta, now: Long): Unit = {
-    val me = index(inst.id)
+    val me = inst.index
     val ps = procs(me)
     ps.lc += 1
     ps.ckpt(me) += 1
     ps.ckptUpdates += 1
-    if (ps.taken(me)) { ps.taken(me) = false; ps.takenUpdates += 1 }
+    ps.taken(me) = false
     java.util.Arrays.fill(ps.sentTo, false)
     ps.sentSince = false
     ps.dirty = true

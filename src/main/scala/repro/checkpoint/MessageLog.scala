@@ -17,19 +17,18 @@ import scala.collection.mutable
   * front once no recovery line can ask for it again ([[collectThrough]]),
   * and recovery drops its back past the restored sender position
   * ([[truncateAfter]]), so that re-sent seqs are appended in place.
+  *
+  * A sender appends through its channel's [[ChannelLog]], which it looks
+  * up once per run ([[channel]]), so an append costs no hash lookup.
   */
 final class MessageLog {
-  private val byChannel = mutable.Map.empty[ChannelId, MessageLog.ChannelLog]
+  private val byChannel = mutable.Map.empty[ChannelId, ChannelLog]
   private var appended: Long = 0L
   private var bytes0: Long = 0L
   private var held: Long = 0L
 
-  def append(m: Msg): Unit = {
-    byChannel.getOrElseUpdate(m.channel, new MessageLog.ChannelLog).append(m)
-    appended += 1
-    bytes0 += m.wireBytes
-    held += 1
-  }
+  /** The log of channel `ch`, created empty on first use. */
+  def channel(ch: ChannelId): ChannelLog = byChannel.getOrElseUpdate(ch, new ChannelLog)
 
   /** Held messages with loExcl < seq <= hiIncl, in seq order. */
   def range(ch: ChannelId, loExcl: Long, hiIncl: Long): IndexedSeq[Msg] =
@@ -49,14 +48,11 @@ final class MessageLog {
   def totalMessages: Long = appended
   /** Messages the log holds now. */
   def heldMessages: Long = held
-}
-
-object MessageLog {
 
   /** One channel's messages with seqs `base + 1 .. base + count`, in a
     * growable ring.
     */
-  private final class ChannelLog {
+  final class ChannelLog private[MessageLog] () {
     private var msgs = new Array[Msg](16)
     private var head = 0
     private var count = 0
@@ -64,6 +60,7 @@ object MessageLog {
 
     private def at(i: Int): Int = (head + i) & (msgs.length - 1)
 
+    /** Append the next message of this channel: its seq must follow the last. */
     def append(m: Msg): Unit = {
       require(m.seq == base + count + 1,
         s"log of ${m.channel} expects seq ${base + count + 1}, got ${m.seq}")
@@ -77,9 +74,12 @@ object MessageLog {
       }
       msgs(at(count)) = m
       count += 1
+      appended += 1
+      bytes0 += m.wireBytes
+      held += 1
     }
 
-    def range(loExcl: Long, hiIncl: Long): IndexedSeq[Msg] = {
+    private[MessageLog] def range(loExcl: Long, hiIncl: Long): IndexedSeq[Msg] = {
       val from = (math.max(loExcl, base) - base).toInt
       val until = (math.min(hiIncl, base + count) - base).toInt
       if (from >= until) IndexedSeq.empty
@@ -87,7 +87,7 @@ object MessageLog {
     }
 
     /** Drops seqs <= `seq`; returns how many were dropped. */
-    def dropThrough(seq: Long): Int = {
+    private[MessageLog] def dropThrough(seq: Long): Int = {
       val n = math.max(0L, math.min(seq, base + count) - base).toInt
       var i = 0
       while (i < n) { msgs(at(i)) = null; i += 1 }
@@ -98,7 +98,7 @@ object MessageLog {
     }
 
     /** Drops seqs > `seq`; returns how many were dropped. */
-    def dropAfter(seq: Long): Int = {
+    private[MessageLog] def dropAfter(seq: Long): Int = {
       val keep = (math.max(seq, base) - base).toInt
       val n = count - math.min(keep, count)
       var i = count - n

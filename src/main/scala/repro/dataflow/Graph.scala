@@ -45,12 +45,16 @@ trait OperatorLogic {
   /** Snapshot of operator state: an immutable value that no later
     * [[onRecord]] can change, because the [[StateStore]] keeps the
     * reference as the checkpoint's state. Logic that keeps its live state
-    * in persistent maps returns that state itself, in O(1).
+    * in persistent maps returns that state itself, in O(1). Logic that
+    * keeps it in copy-on-write tables also returns it in O(1), and ends
+    * the tables' epoch, so its next write to a table the snapshot holds
+    * copies that table first. Either way, a held snapshot is never written
+    * again.
     */
   def snapshot(): Any
   /** Restore from a snapshot produced by [[snapshot]]. The snapshot is
-    * immutable, so the logic may adopt it as its live state without copying;
-    * one snapshot may be restored more than once.
+    * never written again, so the logic may adopt it as its live state
+    * without copying; one snapshot may be restored more than once.
     */
   def restore(s: Any): Unit
   /** Approximate serialized state size (drives checkpoint cost). */

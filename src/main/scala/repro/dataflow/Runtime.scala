@@ -52,6 +52,9 @@ final class Runtime(
     */
   private val insts: Map[InstanceId, Instance] = nodes.iterator.map(i => i.id -> i).toMap
 
+  /** The message log of every out-channel, by dense index and out-index. */
+  private val outLogs: Array[Array[log.ChannelLog]] = nodes.map(_.outCh.map(log.channel).toArray)
+
   /** Source input of every instance, by dense index (empty for non-sources). */
   private val srcEvents: Array[IndexedSeq[SourceEvent]] = nodes.map(i => input.events(i.id))
 
@@ -231,7 +234,7 @@ final class Runtime(
       metrics.dataMessages += 1
       metrics.protoBytes += msg.piggybackBytes
     }
-    if (protocol.logsMessages) log.append(msg)
+    if (protocol.logsMessages) outLogs(inst.index)(k).append(msg)
     transmit(inst, k, msg, newBusy)
     newBusy
   }

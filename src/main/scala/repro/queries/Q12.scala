@@ -1,6 +1,5 @@
 package repro.queries
 
-import scala.collection.immutable.TreeMap
 import repro.dataflow._
 import repro.nexmark._
 
@@ -9,34 +8,36 @@ import repro.nexmark._
   * keeps the max per (bidder, window), which equals the final count
   * regardless of emission interleaving. Window state expires `slackMicros`
   * after the window closes.
+  *
+  * The state is an ordered map of windows, each a copy-on-write table of
+  * bidder -> running count ([[CowWindows]]). A snapshot is O(1), and a bid
+  * copies its window only on the first write after a snapshot; later bids
+  * in the epoch count in place.
   */
 final class Q12CountLogic(windowMicros: Long, slackMicros: Long) extends OperatorLogic {
-  // window -> bidder -> running count, ordered by window so expiry can
-  // test the oldest window instead of scanning every key
-  private var counts = TreeMap.empty[Long, Map[Long, Long]]
+  private val counts = new CowWindows[Long]
   private var watermark = 0L
 
   def onRecord(value: Any, fromOp: String, emit: Any => Unit): Unit = value match {
     case b: NxBid =>
       if (b.ts > watermark) {
         watermark = b.ts
-        val live = math.max(0L, watermark - slackMicros) / windowMicros - 1
-        if (counts.nonEmpty && counts.firstKey < live) counts = counts.rangeFrom(live)
+        counts.expireBelow(math.max(0L, watermark - slackMicros) / windowMicros - 1)
       }
       val w = b.ts / windowMicros
-      val inWindow = counts.getOrElse(w, Map.empty[Long, Long])
+      val inWindow = counts.write(w)
       val c = inWindow.getOrElse(b.bidder, 0L) + 1L
-      counts = counts.updated(w, inWindow.updated(b.bidder, c))
+      inWindow.update(b.bidder, c)
       emit(Q12Out(b.bidder, w, c))
     case other => sys.error(s"Q12 got $other")
   }
 
-  def snapshot(): Any = (counts, watermark)
+  def snapshot(): Any = (counts.snapshot(), watermark)
   def restore(s: Any): Unit = {
-    val (cs, wm) = s.asInstanceOf[(TreeMap[Long, Map[Long, Long]], Long)]
-    counts = cs; watermark = wm
+    val (cs, wm) = s.asInstanceOf[(CowWindows.Snapshot[Long], Long)]
+    counts.restore(cs); watermark = wm
   }
-  def stateBytes: Long = counts.valuesIterator.map(_.size.toLong).sum * 40L + 16L
+  def stateBytes: Long = counts.size * 40L + 16L
 }
 
 /** NexMark Q12 (paper §VI): windowed count over bids with minor shuffling. */

@@ -8,51 +8,56 @@ import repro.nexmark._
   * triggered on record arrival (the paper's "running window") and window
   * state is cleaned `slackMicros` after the window closes, driven by the
   * max event timestamp seen at this instance.
+  *
+  * Both sides are ordered maps of windows, each a copy-on-write table
+  * ([[CowWindows]]): person id -> name, and seller -> auctions opened. A
+  * snapshot is O(1), and a record copies its window only on the first
+  * write after a snapshot.
   */
 final class Q8JoinLogic(windowMicros: Long, slackMicros: Long) extends OperatorLogic {
-  // window -> person id -> name / auction count
-  private var persons  = Map.empty[Long, Map[Long, String]]
-  private var auctions = Map.empty[Long, Map[Long, Long]]
+  private val persons  = new CowWindows[String]
+  private val auctions = new CowWindows[Long]
   private var watermark = 0L
 
   private def window(ts: Long): Long = ts / windowMicros
 
-  private def advance(ts: Long, emit: Any => Unit): Unit = {
+  private def advance(ts: Long): Unit =
     if (ts > watermark) {
       watermark = ts
-      val expired = window(math.max(0L, watermark - slackMicros)) // windows < expired are closed
-      persons = persons.removedAll(persons.keysIterator.filter(_ < expired - 1))
-      auctions = auctions.removedAll(auctions.keysIterator.filter(_ < expired - 1))
+      val live = window(math.max(0L, watermark - slackMicros)) - 1 // older windows are closed
+      persons.expireBelow(live)
+      auctions.expireBelow(live)
     }
-  }
 
   def onRecord(value: Any, fromOp: String, emit: Any => Unit): Unit = value match {
     case p: NxPerson =>
-      advance(p.ts, emit)
+      advance(p.ts)
       val w = window(p.ts)
-      persons = persons.updated(w,
-        persons.getOrElse(w, Map.empty[Long, String]).updated(p.id, p.name))
-      val n = auctions.get(w).flatMap(_.get(p.id)).getOrElse(0L)
+      persons.write(w).update(p.id, p.name)
+      val opened = auctions.read(w)
+      val n = if (opened == null) 0L else opened.getOrElse(p.id, 0L)
       var i = 0L
       while (i < n) { emit(Q8Out(p.id, p.name, w)); i += 1 }
     case a: NxAuction =>
-      advance(a.ts, emit)
+      advance(a.ts)
       val w = window(a.ts)
-      val m = auctions.getOrElse(w, Map.empty[Long, Long])
-      auctions = auctions.updated(w, m.updated(a.seller, m.getOrElse(a.seller, 0L) + 1L))
-      persons.get(w).flatMap(_.get(a.seller)).foreach(nm => emit(Q8Out(a.seller, nm, w)))
+      val opened = auctions.write(w)
+      opened.update(a.seller, opened.getOrElse(a.seller, 0L) + 1L)
+      val names = persons.read(w)
+      if (names != null) {
+        val name = names.getOrNull(a.seller)
+        if (name != null) emit(Q8Out(a.seller, name, w))
+      }
     case other => sys.error(s"Q8 join got $other")
   }
 
-  def snapshot(): Any = (persons, auctions, watermark)
+  def snapshot(): Any = (persons.snapshot(), auctions.snapshot(), watermark)
   def restore(s: Any): Unit = {
     val (ps, as, wm) =
-      s.asInstanceOf[(Map[Long, Map[Long, String]], Map[Long, Map[Long, Long]], Long)]
-    persons = ps; auctions = as; watermark = wm
+      s.asInstanceOf[(CowWindows.Snapshot[String], CowWindows.Snapshot[Long], Long)]
+    persons.restore(ps); auctions.restore(as); watermark = wm
   }
-  def stateBytes: Long =
-    persons.valuesIterator.map(_.size.toLong * 32L).sum +
-      auctions.valuesIterator.map(_.size.toLong * 24L).sum + 32L
+  def stateBytes: Long = persons.size * 32L + auctions.size * 24L + 32L
 }
 
 /** NexMark Q8 (paper §VI): windowed join of persons with their auctions —

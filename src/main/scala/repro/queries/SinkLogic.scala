@@ -79,18 +79,34 @@ object MultisetSink {
   }
 }
 
-/** Upsert-max sink: `key`/`value` project a group and a monotone measure. */
+/** Upsert-max sink: `key`/`value` project a group and a monotone measure.
+  *
+  * The greatest measure per group lives in one copy-on-write table
+  * ([[Epochs]]): a snapshot is O(1) and copies nothing, the first record
+  * that raises a measure after a snapshot copies the table, and later ones
+  * in the epoch write to the copy in place.
+  */
 final class UpsertMaxSink(key: Any => Any, value: Any => Long) extends OperatorLogic {
-  private var state = Map.empty[Any, Long]
+  private val epochs = new Epochs
+  private var state = epochs.stamp(mutable.HashMap.empty[Any, Long])
   /** Greatest measure seen per group. */
-  def latest: Map[Any, Long] = state
+  def latest: collection.Map[Any, Long] = state.table
   def onRecord(v: Any, fromOp: String, emit: Any => Unit): Unit = {
     val k = key(v); val x = value(v)
-    if (state.getOrElse(k, Long.MinValue) < x) state = state.updated(k, x)
+    if (state.table.getOrElse(k, Long.MinValue) < x) {
+      state = epochs.writable(state)
+      state.table.update(k, x)
+    }
   }
-  def snapshot(): Any = state
-  def restore(s: Any): Unit = state = s.asInstanceOf[Map[Any, Long]]
-  def stateBytes: Long = state.size.toLong * 48L
+  def snapshot(): Any = { epochs.next(); state }
+  /** Adopt `s` and start a new epoch, so no write reaches `s` and it can
+    * be restored again.
+    */
+  def restore(s: Any): Unit = {
+    state = s.asInstanceOf[Stamped[mutable.HashMap[Any, Long]]]
+    epochs.next()
+  }
+  def stateBytes: Long = state.table.size.toLong * 48L
 }
 
 /** Stateless pass-through (sources and simple stages). */

@@ -17,7 +17,8 @@ class ComponentsSpec extends AnyFunSuite {
 
   test("message log ranges are positional on contiguous seqs") {
     val log = new MessageLog
-    (1L to 10L).foreach(s => log.append(msg(s)))
+    val out = log.channel(ab)
+    (1L to 10L).foreach(s => out.append(msg(s)))
     assert(log.range(ab, 0, 10).map(_.seq) == (1L to 10L))
     assert(log.range(ab, 3, 7).map(_.seq) == (4L to 7L))
     assert(log.range(ab, 7, 3).isEmpty)
@@ -27,21 +28,23 @@ class ComponentsSpec extends AnyFunSuite {
 
   test("message log byte and message totals") {
     val log = new MessageLog
-    (1L to 5L).foreach(s => log.append(msg(s, 100)))
+    val out = log.channel(ab)
+    (1L to 5L).foreach(s => out.append(msg(s, 100)))
     assert(log.totalMessages == 5)
     assert(log.totalBytes == 5L * (Msg.FrameBytes + 100))
   }
 
   test("message log: collect, truncate and re-append keep ranges positional") {
     val log = new MessageLog
-    (1L to 10L).foreach(s => log.append(msg(s)))
+    val out = log.channel(ab)
+    (1L to 10L).foreach(s => out.append(msg(s)))
     log.collectThrough(ab, 4)
     assert(log.heldMessages == 6)
     assert(log.range(ab, 0, 10).map(_.seq) == (5L to 10L))
     // A resumed sender restored to seq 7 re-sends 8.. with new payloads.
     log.truncateAfter(ab, 7)
     assert(log.heldMessages == 3)
-    (8L to 12L).foreach(s => log.append(msg(s, bytes = 20)))
+    (8L to 12L).foreach(s => out.append(msg(s, bytes = 20)))
     val resent = log.range(ab, 7, 12)
     assert(resent.map(_.seq) == (8L to 12L))
     assert(resent.forall(_.payloadBytes == 20))
@@ -55,14 +58,14 @@ class ComponentsSpec extends AnyFunSuite {
     assert(log.heldMessages == 8)
     log.collectThrough(ab, 99)
     assert(log.heldMessages == 0 && log.range(ab, 0, 99).isEmpty)
-    log.append(msg(13))
+    out.append(msg(13))
     assert(log.range(ab, 12, 13).map(_.seq) == Seq(13L))
   }
 
   test("message log refuses a seq gap") {
-    val log = new MessageLog
-    log.append(msg(1))
-    intercept[IllegalArgumentException](log.append(msg(3)))
+    val out = new MessageLog().channel(ab)
+    out.append(msg(1))
+    intercept[IllegalArgumentException](out.append(msg(3)))
   }
 
   test("state store: collection and recovery drop checkpoints, tallies stay") {

@@ -8,9 +8,10 @@ import repro.queries._
 import repro.queries.Reach._
 
 /** ScalaCheck properties of the snapshot contract of every stateful
-  * operator: a snapshot is an immutable value, so one taken after k records
-  * is unchanged by the records that follow, and a fresh instance restored
-  * from it continues exactly as the instance that took it.
+  * operator: a snapshot is never written again, so one taken after k
+  * records is unchanged by the records that follow, a fresh instance
+  * restored from it continues exactly as the instance that took it, and it
+  * can be restored any number of times.
   */
 object SnapshotProps extends Properties("Snapshot") {
 
@@ -54,8 +55,12 @@ object SnapshotProps extends Properties("Snapshot") {
     out.result()
   }
 
+  /** A record stream and a split point in it. */
+  private def split(records: Gen[Vector[Any]]): Gen[(Vector[Any], Int)] =
+    records.flatMap(rs => Gen.choose(0, rs.size).map(rs -> _))
+
   private def isolatedAndRestorable(make: () => OperatorLogic, records: Gen[Vector[Any]]) =
-    Prop.forAll(records.flatMap(rs => Gen.choose(0, rs.size).map(rs -> _))) { case (rs, k) =>
+    Prop.forAll(split(records)) { case (rs, k) =>
       val (prefix, suffix) = rs.splitAt(k)
       val live = make()
       feed(live, prefix)
@@ -72,6 +77,32 @@ object SnapshotProps extends Properties("Snapshot") {
       (restored.stateBytes == live.stateBytes) :| "restored instance reports another size"
     }
 
+  /** One instance restores the snapshot taken after k records, is fed the
+    * rest and snapshotted, then restores the same snapshot again and is fed
+    * the same rest: both rounds emit the same records and end in the same
+    * state, so neither round wrote into the snapshot it adopted. The
+    * instance that took the snapshot also took one after every earlier
+    * record, so the snapshot's parts date from epochs of different ages.
+    */
+  private def restorableTwice(make: () => OperatorLogic, records: Gen[Vector[Any]]) =
+    Prop.forAll(split(records)) { case (rs, k) =>
+      val (prefix, suffix) = rs.splitAt(k)
+      val live = make()
+      prefix.foreach { r => feed(live, Seq(r)); live.snapshot() }
+      val held = live.snapshot()
+      val restored = make()
+      def round() = {
+        restored.restore(held)
+        val out = feed(restored, suffix)
+        (out, restored.snapshot(), restored.stateBytes)
+      }
+      val (out1, end1, bytes1) = round()
+      val (out2, end2, bytes2) = round()
+      (out2 == out1) :| "second round emits differently" &&
+      (end2 == end1) :| "second round ends in another state" &&
+      (bytes2 == bytes1) :| "second round reports another size"
+    }
+
   property("multiset sink") =
     isolatedAndRestorable(() => new MultisetSink, stream(_ => key))
   property("upsert-max sink") =
@@ -86,4 +117,18 @@ object SnapshotProps extends Properties("Snapshot") {
     isolatedAndRestorable(() => new Q12CountLogic(W, slackMicros = W), stream(bid))
   property("reachability join") =
     isolatedAndRestorable(() => new ReachJoinLogic, stream(reachEvent))
+
+  property("multiset sink restored twice") =
+    restorableTwice(() => new MultisetSink, stream(_ => key))
+  property("upsert-max sink restored twice") =
+    restorableTwice(upsertMax, stream(_ => Gen.zip(key, Gen.choose(0L, 20L))))
+  property("Q3 join restored twice") =
+    restorableTwice(() => new Q3JoinLogic, stream(ts => Gen.oneOf(person(ts), auction(ts))))
+  property("Q8 window join restored twice") =
+    restorableTwice(() => new Q8JoinLogic(W, slackMicros = W),
+      stream(ts => Gen.oneOf(person(ts), auction(ts))))
+  property("Q12 window count restored twice") =
+    restorableTwice(() => new Q12CountLogic(W, slackMicros = W), stream(bid))
+  property("reachability join restored twice") =
+    restorableTwice(() => new ReachJoinLogic, stream(reachEvent))
 }
