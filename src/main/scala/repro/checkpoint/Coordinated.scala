@@ -31,6 +31,7 @@ final class Coordinated extends Protocol {
   private val RpcBytes = 24L
 
   private var rt: ProtocolRuntime = _
+  private var nInstances = 0
   private var activeRound: Option[Int] = None
   private var roundStart: Long = 0L
   private var nextRound: Int = 1
@@ -39,7 +40,10 @@ final class Coordinated extends Protocol {
   /** round -> (start, end) of completed rounds. */
   val completedRounds = mutable.Map.empty[Int, (Long, Long)]
 
-  def init(r: ProtocolRuntime): Unit = rt = r
+  def init(r: ProtocolRuntime): Unit = {
+    rt = r
+    nInstances = r.graph.instances.size
+  }
 
   def onStart(): Unit =
     rt.scheduleTimer(rt.cfg.coorIntervalMicros, "coor.round", None, 0L)
@@ -102,7 +106,7 @@ final class Coordinated extends Protocol {
     case CoordinatedCkpt(r) if activeRound.contains(r) =>
       rt.addProtocolBytes(RpcBytes) // durable-ack to the coordinator
       durableInRound(meta.id) = meta.idx
-      if (durableInRound.size == rt.graph.instances.size) {
+      if (durableInRound.size == nInstances) {
         completedRounds(r) = (roundStart, now)
         // Recovery never goes back past a complete round.
         durableInRound.foreach { case (id, idx) => rt.store.collectBelow(id, idx, now) }

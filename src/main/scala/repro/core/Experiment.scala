@@ -61,18 +61,23 @@ object Experiment {
     case other  => sys.error(s"unknown protocol $other")
   }
 
+  /** Build and run one cell under `protocol`; returns the finished runtime. */
+  def runtime(cfg: ExpConfig, protocol: Protocol): Runtime = {
+    val graph = cfg.query.graph(cfg.parallelism)
+    val horizon = cfg.inputHorizonMicros.getOrElse(cfg.sim.endMicros)
+    val input = cfg.query.input(cfg.parallelism,
+      NexmarkConfig(cfg.ratePerSec, horizon, hotRatio = cfg.hotRatio, seed = cfg.seed,
+        include = cfg.query.includes))
+    new Runtime(graph, protocol, cfg.sim, input).run()
+  }
+
   /** Build and run one cell; returns both the live runtime (for digest
     * inspection) and the frozen result. `wrap` may decorate the protocol
     * the runtime drives; the result is frozen from the undecorated one.
     */
   def run(cfg: ExpConfig, wrap: Protocol => Protocol = identity): (Runtime, ExpResult) = {
     val protocol = protocolFor(cfg.protocolName)
-    val graph = cfg.query.graph(cfg.parallelism)
-    val horizon = cfg.inputHorizonMicros.getOrElse(cfg.sim.endMicros)
-    val input = cfg.query.input(cfg.parallelism,
-      NexmarkConfig(cfg.ratePerSec, horizon, hotRatio = cfg.hotRatio, seed = cfg.seed,
-        include = cfg.query.includes))
-    val rt = new Runtime(graph, wrap(protocol), cfg.sim, input).run()
+    val rt = runtime(cfg, wrap(protocol))
     (rt, freeze(cfg, rt, protocol))
   }
 

@@ -37,8 +37,10 @@ object Mst {
     val cfg = ExpConfig(q, proto, parallelism, rate, hotRatio, sim,
       // Leave the tail of the run for the sources to drain.
       inputHorizonMicros = Some(ProbeWarmup + ProbeRun - 1_500_000L))
-    val (rt, res) = Experiment.run(cfg)
-    res.unconsumed == 0 && res.maxQueue < 500 && rt.queuedMessagesAtEnd < 50L * parallelism
+    // The verdict needs three readings, not a frozen result.
+    val rt = Experiment.runtime(cfg, Experiment.protocolFor(proto))
+    rt.unconsumedSourceEvents == 0 && rt.metrics.maxQueuedMessages < 500 &&
+      rt.queuedMessagesAtEnd < 50L * parallelism
   }
 
   /** Bisect the sustainable rate; returns events/s. */

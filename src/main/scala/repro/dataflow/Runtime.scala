@@ -55,8 +55,11 @@ final class Runtime(
   /** The message log of every out-channel, by dense index and out-index. */
   private val outLogs: Array[Array[log.ChannelLog]] = nodes.map(_.outCh.map(log.channel).toArray)
 
-  /** Source input of every instance, by dense index (empty for non-sources). */
-  private val srcEvents: Array[IndexedSeq[SourceEvent]] = nodes.map(i => input.events(i.id))
+  /** Source input columns of every instance, by dense index (empty for
+    * non-sources).
+    */
+  private val srcTimes: Array[Array[Long]] = nodes.map(i => input.times(i.id))
+  private val srcValues: Array[Array[Any]] = nodes.map(i => input.values(i.id))
 
   def instance(id: InstanceId): Instance = insts(id)
   def allInstances: Iterable[Instance]   = insts.values
@@ -83,8 +86,8 @@ final class Runtime(
     protocol.init(this)
     protocol.onStart()
     insts.values.foreach { inst =>
-      val evs = srcEvents(inst.index)
-      if (inst.spec.isSource && evs.nonEmpty) queue.schedule(evs.head.ts, inst.wake)
+      val times = srcTimes(inst.index)
+      if (inst.spec.isSource && times.nonEmpty) queue.schedule(times(0), inst.wake)
     }
     cfg.failAbs.foreach { t =>
       require(t < cfg.endMicros, "failure must be injected before the end of the run")
@@ -126,9 +129,9 @@ final class Runtime(
       case None => ()
     }
     val k = inst.nextChannel
-    val evs = srcEvents(inst.index)
-    val hasSrc = inst.spec.isSource && inst.srcOffset < evs.length
-    val ts = if (hasSrc) evs(inst.srcOffset.toInt).ts else 0L
+    val times = srcTimes(inst.index)
+    val hasSrc = inst.spec.isSource && inst.srcOffset < times.length
+    val ts = if (hasSrc) times(inst.srcOffset.toInt) else 0L
 
     if (k >= 0 && (!hasSrc || inst.inbox(k).headArrival <= math.max(ts, clock)))
       processChannel(inst, k)
@@ -140,11 +143,13 @@ final class Runtime(
   }
 
   private def processSource(inst: Instance): Unit = {
-    val ev = srcEvents(inst.index)(inst.srcOffset.toInt)
+    val off = inst.srcOffset.toInt
+    val ts = srcTimes(inst.index)(off)
     inst.srcOffset += 1
-    if (clock - ev.ts > LagThresholdMicros && clock > metrics.lastLaggedAt)
+    if (clock - ts > LagThresholdMicros && clock > metrics.lastLaggedAt)
       metrics.lastLaggedAt = clock
-    applyRecord(inst, ev.value, fromOp = "", srcTs = ev.ts, start = clock, extraCost = 0L)
+    applyRecord(inst, srcValues(inst.index)(off), fromOp = "", srcTs = ts, start = clock,
+      extraCost = 0L)
     queue.schedule(inst.busyUntil, inst.wake)
   }
 
@@ -352,7 +357,7 @@ final class Runtime(
   /** Source events never consumed (nonzero means the run didn't keep up). */
   def unconsumedSourceEvents: Long =
     insts.values.filter(_.spec.isSource)
-      .map(i => input.events(i.id).length - i.srcOffset).sum
+      .map(i => input.size(i.id) - i.srcOffset).sum
 
   /** Messages still queued in instance inboxes at the end of the run. */
   def queuedMessagesAtEnd: Long = nodes.iterator.map(_.queuedMessages).sum

@@ -1,48 +1,98 @@
 package repro.dataflow
 
-/** One timed event of the replayable input (the Kafka substitute).
-  *
-  * @param ts    virtual time at which the event becomes available in the
-  *              input queue — end-to-end latency is measured from here
-  * @param value record payload
-  * @param bytes serialized payload size
-  */
-final case class SourceEvent(ts: Long, value: Any, bytes: Int)
-
 /** Replayable, offset-addressable input for every source instance.
   *
-  * Events are pre-generated and sorted by `ts` per instance; a source
+  * Events are pre-generated and sorted by time per instance; a source
   * instance's durable state is just its offset, and recovery rewinds to the
   * checkpointed offset — exactly the Kafka contract the paper relies on.
+  * Each instance of source operator `op` keeps two columns of equal
+  * length: the virtual times at which its events become available in the
+  * input queue (end-to-end latency is measured from there) and the record
+  * payloads. Build one with [[SourceInput.RoundRobin]].
   */
-final class SourceInput(perInstance: Map[InstanceId, IndexedSeq[SourceEvent]]) {
-  perInstance.values.foreach { evs =>
-    var i = 1
-    while (i < evs.length) {
-      require(evs(i - 1).ts <= evs(i).ts, "source events must be sorted by ts")
-      i += 1
-    }
+final class SourceInput private (
+    op: String,
+    timeCols: Array[Array[Long]],
+    valueCols: Array[Array[Any]],
+) {
+  private def col(id: InstanceId): Int =
+    if (id.op == op && id.idx < timeCols.length) id.idx else -1
+
+  /** Event times of instance `id`, nondecreasing (empty if it is no source). */
+  def times(id: InstanceId): Array[Long] = {
+    val c = col(id)
+    if (c < 0) SourceInput.NoTimes else timeCols(c)
   }
 
-  def events(id: InstanceId): IndexedSeq[SourceEvent] =
-    perInstance.getOrElse(id, IndexedSeq.empty)
+  /** Event payloads of instance `id`, aligned with [[times]]. */
+  def values(id: InstanceId): Array[Any] = {
+    val c = col(id)
+    if (c < 0) SourceInput.NoValues else valueCols(c)
+  }
 
-  def totalEvents: Long = perInstance.valuesIterator.map(_.size.toLong).sum
+  def size(id: InstanceId): Int = times(id).length
+
+  def totalEvents: Long = timeCols.iterator.map(_.length.toLong).sum
 
   /** Last event availability time across all instances (schedule horizon). */
   def horizon: Long =
-    perInstance.valuesIterator.flatMap(_.lastOption).map(_.ts).foldLeft(0L)(math.max)
+    timeCols.iterator.filter(_.nonEmpty).map(_.last).foldLeft(0L)(math.max)
 }
 
 object SourceInput {
-  /** Round-robin split of one logical stream across `parallelism` source
-    * instances of operator `op`, preserving per-instance ts order.
+  private val NoTimes  = Array.emptyLongArray
+  private val NoValues = Array.empty[Any]
+
+  /** Round-robin split of one logical stream across `parallelism` instances
+    * of source operator `op`: event `n` goes to instance `n % parallelism`.
+    * Each instance's columns start at its share of `expected` events, grow
+    * if more arrive and are trimmed to their fill by [[result]], so no
+    * column outlives the build larger than its events.
     */
-  def partitioned(op: String, parallelism: Int, events: IndexedSeq[SourceEvent]): SourceInput = {
-    val buckets = Array.fill(parallelism)(Vector.newBuilder[SourceEvent])
-    events.iterator.zipWithIndex.foreach { case (e, i) => buckets(i % parallelism) += e }
-    new SourceInput(
-      (0 until parallelism).map(i => InstanceId(op, i) -> buckets(i).result().toIndexedSeq).toMap
-    )
+  final class RoundRobin(op: String, parallelism: Int, expected: Long) {
+    require(parallelism > 0, "parallelism must be positive")
+    private val times: Array[Array[Long]] = Array.tabulate(parallelism) { i =>
+      new Array[Long](share(i))
+    }
+    private val values: Array[Array[Any]] = times.map(t => new Array[Any](t.length))
+    private val fill = new Array[Int](parallelism)
+    private var next = 0
+
+    /** Events of `expected` that instance `i` receives: ceil((expected - i) / parallelism). */
+    private def share(i: Int): Int =
+      math.max(0L, (expected - i + parallelism - 1) / parallelism).toInt
+
+    private def resize(i: Int, n: Int): Unit = {
+      times(i) = java.util.Arrays.copyOf(times(i), n)
+      values(i) = java.util.Arrays.copyOf(values(i).asInstanceOf[Array[AnyRef]], n)
+        .asInstanceOf[Array[Any]]
+    }
+
+    def add(ts: Long, value: Any): Unit = {
+      val i = next
+      val k = fill(i)
+      if (k == times(i).length) resize(i, math.max(16, k * 2))
+      times(i)(k) = ts
+      values(i)(k) = value
+      fill(i) = k + 1
+      next = if (i + 1 == parallelism) 0 else i + 1
+    }
+
+    /** The input, with every column trimmed to its fill and checked sorted. */
+    def result(): SourceInput = {
+      var i = 0
+      while (i < parallelism) {
+        val n = fill(i)
+        if (n != times(i).length) resize(i, n)
+        val t = times(i)
+        var k = 1
+        while (k < n) {
+          require(t(k - 1) <= t(k), "source events must be sorted by ts")
+          k += 1
+        }
+        i += 1
+      }
+      new SourceInput(op, times, values)
+    }
   }
 }

@@ -1,6 +1,6 @@
 package repro.nexmark
 
-import repro.dataflow.SourceEvent
+import repro.dataflow.SourceInput
 import scala.collection.mutable
 import scala.util.Random
 
@@ -42,76 +42,104 @@ object NexmarkGen {
   /** Tumbling window size for Q8/Q12 (event time, micros). */
   val WindowMicros: Long = 10_000_000L
 
-  /** Generate the interleaved, timestamp-ordered event stream. */
-  def events(cfg: NexmarkConfig): IndexedSeq[NxEvent] = {
-    val rnd = new Random(cfg.seed)
-    val total = math.max(1L, (cfg.ratePerSec * cfg.durationMicros / 1e6).toLong)
-    val stepMicros = cfg.durationMicros.toDouble / total
+  /** Number of events `cfg` generates. */
+  private def eventCount(cfg: NexmarkConfig): Long =
+    math.max(1L, (cfg.ratePerSec * cfg.durationMicros / 1e6).toLong)
 
-    val cycle: IndexedSeq[String] = {
-      val pat = mutable.ArrayBuffer.empty[String]
-      if (cfg.include("person"))  pat ++= Seq.fill(cfg.personShare)("person")
-      if (cfg.include("auction")) pat ++= Seq.fill(cfg.auctionShare)("auction")
-      if (cfg.include("bid"))     pat ++= Seq.fill(cfg.bidShare)("bid")
+  /** The interleaved, timestamp-ordered event stream, materialized (the
+    * input of the Spark references and the DuckDB oracle).
+    */
+  def events(cfg: NexmarkConfig): IndexedSeq[NxEvent] = {
+    val out = IndexedSeq.newBuilder[NxEvent]
+    generate(cfg)(out += _)
+    out.result()
+  }
+
+  /** The same stream as the simulator's replayable input, split round-robin
+    * across `parallelism` instances of source operator `op`.
+    */
+  def input(op: String, parallelism: Int, cfg: NexmarkConfig): SourceInput = {
+    val b = new SourceInput.RoundRobin(op, parallelism, eventCount(cfg))
+    generate(cfg)(e => b.add(e.ts, e))
+    b.result()
+  }
+
+  // Event classes of the generator's cycle.
+  private final val Person = 0
+  private final val Auction = 1
+  private final val Bid = 2
+
+  /** Generate the stream in timestamp order, handing each event to `emit`. */
+  private def generate(cfg: NexmarkConfig)(emit: NxEvent => Unit): Unit = {
+    val rnd = PlainRandom(cfg.seed)
+    val total = eventCount(cfg)
+    val stepMicros = cfg.durationMicros.toDouble / total
+    val hasPerson = cfg.include("person")
+    val hasAuction = cfg.include("auction")
+    val hasBid = cfg.include("bid")
+    val hot = cfg.hotRatio > 0
+
+    val cycle: Array[Int] = {
+      val pat = mutable.ArrayBuffer.empty[Int]
+      if (hasPerson)  pat ++= Seq.fill(cfg.personShare)(Person)
+      if (hasAuction) pat ++= Seq.fill(cfg.auctionShare)(Auction)
+      if (hasBid)     pat ++= Seq.fill(cfg.bidShare)(Bid)
       require(pat.nonEmpty, "at least one event class must be included")
       // Spread classes through the cycle deterministically.
-      new Random(cfg.seed ^ 0xbeef).shuffle(pat.toIndexedSeq)
+      new Random(cfg.seed ^ 0xbeef).shuffle(pat.toIndexedSeq).toArray
     }
 
+    // Ids are handed out densely from 1, so the persons and auctions that
+    // exist are exactly 1 until next - 1. A reference made before the
+    // first one reserves id 1 for it.
     var nextPerson = 1L
     var nextAuction = 1L
-    val personIds = mutable.ArrayBuffer.empty[Long]
-    val auctionIds = mutable.ArrayBuffer.empty[Long]
 
     // When a referenced entity class is not part of the generated stream
     // (e.g. bid-only input for Q1/Q12), draw its ids from a virtual
     // universe that grows at the full 1:3:46 stream's proportions — the
     // references then have the same key distribution as in a full stream.
     val includedShare =
-      (if (cfg.include("person")) cfg.personShare else 0) +
-        (if (cfg.include("auction")) cfg.auctionShare else 0) +
-        (if (cfg.include("bid")) cfg.bidShare else 0)
+      (if (hasPerson) cfg.personShare else 0) +
+        (if (hasAuction) cfg.auctionShare else 0) +
+        (if (hasBid) cfg.bidShare else 0)
     var i = 0L
     def virtUniverse(share: Int): Long =
       math.max(cfg.nHot.toLong, 1L + i * share / math.max(1, includedShare))
 
     def somePerson(): Long =
-      if (cfg.hotRatio > 0 && rnd.nextDouble() < cfg.hotRatio)
+      if (hot && rnd.nextDouble() < cfg.hotRatio)
         1L + rnd.nextInt(cfg.nHot)
-      else if (cfg.include("person")) {
-        if (personIds.isEmpty) { personIds += nextPerson; nextPerson += 1 }
-        personIds(rnd.nextInt(personIds.length))
+      else if (hasPerson) {
+        if (nextPerson == 1L) nextPerson = 2L
+        1L + rnd.nextInt((nextPerson - 1L).toInt)
       } else 1L + rnd.nextLong(virtUniverse(cfg.personShare))
 
     def someAuction(): Long =
-      if (cfg.hotRatio > 0 && rnd.nextDouble() < cfg.hotRatio)
+      if (hot && rnd.nextDouble() < cfg.hotRatio)
         1L + rnd.nextInt(cfg.nHot)
-      else if (cfg.include("auction")) {
-        if (auctionIds.isEmpty) { auctionIds += nextAuction; nextAuction += 1 }
-        auctionIds(rnd.nextInt(auctionIds.length))
+      else if (hasAuction) {
+        if (nextAuction == 1L) nextAuction = 2L
+        1L + rnd.nextInt((nextAuction - 1L).toInt)
       } else 1L + rnd.nextLong(virtUniverse(cfg.auctionShare))
 
-    val out = IndexedSeq.newBuilder[NxEvent]
+    var c = 0
     while (i < total) {
       val ts = math.round(i * stepMicros)
-      cycle(((i % cycle.length).toInt)) match {
-        case "person" =>
-          val id = nextPerson; nextPerson += 1; personIds += id
-          out += NxPerson(id, s"p$id", Cities(rnd.nextInt(Cities.length)),
-            States(rnd.nextInt(States.length)), ts)
-        case "auction" =>
-          val id = nextAuction; nextAuction += 1; auctionIds += id
-          out += NxAuction(id, somePerson(), rnd.nextInt(NumCategories), ts,
-            ts + 60_000_000L)
-        case "bid" =>
-          out += NxBid(someAuction(), somePerson(), 10.0 + rnd.nextInt(1000) / 10.0, ts)
+      cycle(c) match {
+        case Person =>
+          val id = nextPerson; nextPerson += 1
+          emit(NxPerson(id, s"p$id", Cities(rnd.nextInt(Cities.length)),
+            States(rnd.nextInt(States.length)), ts))
+        case Auction =>
+          val id = nextAuction; nextAuction += 1
+          emit(NxAuction(id, somePerson(), rnd.nextInt(NumCategories), ts, ts + 60_000_000L))
+        case Bid =>
+          emit(NxBid(someAuction(), somePerson(), 10.0 + rnd.nextInt(1000) / 10.0, ts))
       }
+      c += 1
+      if (c == cycle.length) c = 0
       i += 1
     }
-    out.result()
   }
-
-  /** Wrap events for the simulator's replayable input. */
-  def sourceEvents(evs: IndexedSeq[NxEvent]): IndexedSeq[SourceEvent] =
-    evs.map(e => SourceEvent(e.ts, e, e.sizeBytes))
 }

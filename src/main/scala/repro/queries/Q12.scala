@@ -66,8 +66,7 @@ final case class Q12(slackMicros: Long = 20_000_000L) extends QueryDef {
   )
 
   def input(parallelism: Int, cfg: NexmarkConfig): SourceInput =
-    SourceInput.partitioned("src", parallelism,
-      NexmarkGen.sourceEvents(NexmarkGen.events(cfg.copy(include = includes))))
+    NexmarkGen.input("src", parallelism, cfg.copy(include = includes))
 
   def sinkDigest(rt: Runtime): Map[Any, Long] = QueryDef.mergeUpserts(rt, "sink")
 }

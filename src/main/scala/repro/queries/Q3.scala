@@ -72,8 +72,7 @@ object Q3 extends QueryDef {
   )
 
   def input(parallelism: Int, cfg: NexmarkConfig): SourceInput =
-    SourceInput.partitioned("src", parallelism,
-      NexmarkGen.sourceEvents(NexmarkGen.events(cfg.copy(include = includes))))
+    NexmarkGen.input("src", parallelism, cfg.copy(include = includes))
 
   def sinkDigest(rt: Runtime): Map[Any, Long] = QueryDef.mergeMultisets(rt, "sink")
 }

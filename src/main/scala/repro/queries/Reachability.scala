@@ -1,9 +1,8 @@
 package repro.queries
 
 import repro.dataflow._
-import repro.nexmark.NexmarkConfig
+import repro.nexmark.{NexmarkConfig, PlainRandom}
 import scala.collection.mutable
-import scala.util.Random
 
 /** Events and records of the cyclic reachability query (paper §VI, Fig. 6 —
   * adapted from FFP's on-the-fly progress detection query).
@@ -155,46 +154,57 @@ final case class Reachability(cfg0: ReachConfig) extends QueryDef {
     parallelism = parallelism,
   )
 
+  /** Number of events `cfg` generates. */
+  private def eventCount(cfg: ReachConfig): Long =
+    math.max(1L, (cfg.ratePerSec * cfg.durationMicros / 1e6).toLong)
+
   /** Deterministic event stream; deletions always reference live entities. */
   def events(cfg: ReachConfig = cfg0): IndexedSeq[Ev] = {
-    val rnd = new Random(cfg.seed)
-    val total = math.max(1L, (cfg.ratePerSec * cfg.durationMicros / 1e6).toLong)
+    val out = IndexedSeq.newBuilder[Ev]
+    generate(cfg)(out += _)
+    out.result()
+  }
+
+  /** Generate the stream in timestamp order, handing each event to `emit`. */
+  private def generate(cfg: ReachConfig)(emit: Ev => Unit): Unit = {
+    val rnd = PlainRandom(cfg.seed)
+    val total = eventCount(cfg)
     val step = cfg.durationMicros.toDouble / total
     val liveLinks = mutable.ArrayBuffer.empty[(Long, Long)]
     val liveSources = mutable.ArrayBuffer.empty[Long]
     var nextId = 1L
-    val out = IndexedSeq.newBuilder[Ev]
     var i = 0L
     while (i < total) {
       val ts = math.round(i * step)
       val r = rnd.nextDouble()
       if (r < cfg.pAddLink || (liveLinks.isEmpty && liveSources.isEmpty)) {
         val u = 1L + rnd.nextLong(cfg.nNodes); val v = 1L + rnd.nextLong(cfg.nNodes)
-        liveLinks += ((u, v)); out += AddLink(u, v, ts)
+        liveLinks += ((u, v)); emit(AddLink(u, v, ts))
       } else if (r < cfg.pAddLink + cfg.pAddSource) {
         val id = nextId; nextId += 1
         liveSources += id
-        out += AddSource(id, 1L + rnd.nextLong(cfg.nNodes), ts)
+        emit(AddSource(id, 1L + rnd.nextLong(cfg.nNodes), ts))
       } else if (r < cfg.pAddLink + cfg.pAddSource + cfg.pDelLink && liveLinks.nonEmpty) {
         val k = rnd.nextInt(liveLinks.length)
         val (u, v) = liveLinks.remove(k)
-        out += DelLink(u, v, ts)
+        emit(DelLink(u, v, ts))
       } else if (liveSources.nonEmpty) {
         val k = rnd.nextInt(liveSources.length)
-        out += DelSource(liveSources.remove(k), ts)
+        emit(DelSource(liveSources.remove(k), ts))
       } else {
         val u = 1L + rnd.nextLong(cfg.nNodes); val v = 1L + rnd.nextLong(cfg.nNodes)
-        liveLinks += ((u, v)); out += AddLink(u, v, ts)
+        liveLinks += ((u, v)); emit(AddLink(u, v, ts))
       }
       i += 1
     }
-    out.result()
   }
 
-  def input(parallelism: Int, nxCfg: NexmarkConfig): SourceInput =
-    SourceInput.partitioned("src", parallelism,
-      events(cfg0.copy(ratePerSec = nxCfg.ratePerSec, durationMicros = nxCfg.durationMicros))
-        .map(e => SourceEvent(e.ts, e, e.sizeBytes)))
+  def input(parallelism: Int, nxCfg: NexmarkConfig): SourceInput = {
+    val cfg = cfg0.copy(ratePerSec = nxCfg.ratePerSec, durationMicros = nxCfg.durationMicros)
+    val b = new SourceInput.RoundRobin("src", parallelism, eventCount(cfg))
+    generate(cfg)(e => b.add(e.ts, e))
+    b.result()
+  }
 
   def sinkDigest(rt: Runtime): Map[Any, Long] = QueryDef.mergeMultisets(rt, "sink")
 

@@ -12,7 +12,7 @@ class RecoverySpec extends AnyFunSuite {
       horizonMicros = 15_000_000L, failAt = Some(8_000_000L))
     // After the run everything is drained: offsets equal the input length.
     rt.allInstances.filter(_.spec.isSource).foreach { s =>
-      assert(s.srcOffset == rt.input.events(s.id).length)
+      assert(s.srcOffset == rt.input.size(s.id))
     }
   }
 

@@ -104,19 +104,53 @@ class ComponentsSpec extends AnyFunSuite {
     assert(store.all(a).size == 3)
   }
 
+  private def roundRobin(p: Int, expected: Long, n: Int): SourceInput = {
+    val rr = new SourceInput.RoundRobin("src", p, expected)
+    (0 until n).foreach(i => rr.add(i * 100L, i))
+    rr.result()
+  }
+
   test("source input partitioning is round-robin and order-preserving") {
-    val evs = (0 until 10).map(i => SourceEvent(i * 100L, i, 8))
-    val in = SourceInput.partitioned("src", 3, evs)
+    val in = roundRobin(3, expected = 10, n = 10)
     assert(in.totalEvents == 10)
-    assert(in.events(InstanceId("src", 0)).map(_.value) == Seq(0, 3, 6, 9))
-    assert(in.events(InstanceId("src", 1)).map(_.value) == Seq(1, 4, 7))
+    assert(in.values(InstanceId("src", 0)).toSeq == Seq(0, 3, 6, 9))
+    assert(in.times(InstanceId("src", 0)).toSeq == Seq(0L, 300L, 600L, 900L))
+    assert(in.values(InstanceId("src", 1)).toSeq == Seq(1, 4, 7))
+    assert(in.size(InstanceId("src", 2)) == 3)
+    assert(in.size(InstanceId("map", 0)) == 0 && in.size(InstanceId("src", 3)) == 0)
     assert(in.horizon == 900L)
   }
 
   test("source input rejects unsorted events") {
-    intercept[IllegalArgumentException] {
-      new SourceInput(Map(a -> IndexedSeq(SourceEvent(5, 1, 1), SourceEvent(2, 2, 1))))
+    val rr = new SourceInput.RoundRobin("src", 1, 2)
+    rr.add(5, 1); rr.add(2, 2)
+    intercept[IllegalArgumentException](rr.result())
+    // Order is per instance: instance 0 gets 5 and 6, instance 1 gets 2.
+    val ok = new SourceInput.RoundRobin("src", 2, 3)
+    ok.add(5, 1); ok.add(2, 2); ok.add(6, 3)
+    assert(ok.result().times(InstanceId("src", 0)).toSeq == Seq(5L, 6L))
+  }
+
+  test("source input columns grow past their expected size, in order") {
+    val in = roundRobin(3, expected = 4, n = 1000)
+    assert(in.totalEvents == 1000)
+    (0 until 3).foreach { i =>
+      val id = InstanceId("src", i)
+      val want = (i until 1000 by 3).toSeq
+      assert(in.values(id).toSeq == want)
+      assert(in.times(id).toSeq == want.map(_ * 100L))
     }
+    assert(in.horizon == 99900L)
+  }
+
+  test("source input columns are trimmed to their fill") {
+    // Fewer events than expected, and none at all for instance 3.
+    val in = roundRobin(4, expected = 100, n = 7)
+    assert((0 until 4).map(i => in.times(InstanceId("src", i)).length) == Seq(2, 2, 2, 1))
+    assert((0 until 4).map(i => in.values(InstanceId("src", i)).length) == Seq(2, 2, 2, 1))
+    val none = roundRobin(2, expected = 10, n = 0)
+    assert(none.totalEvents == 0 && none.horizon == 0L)
+    assert(none.times(InstanceId("src", 1)).isEmpty && none.values(InstanceId("src", 1)).isEmpty)
   }
 
   test("cost model: serde, upload and snapshot scale with bytes") {

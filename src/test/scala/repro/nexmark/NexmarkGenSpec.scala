@@ -67,11 +67,4 @@ class NexmarkGenSpec extends AnyFunSuite {
       case p: NxPerson  => assert(p.sizeBytes > 20 && p.sizeBytes < 64)
     }
   }
-
-  test("sourceEvents preserves order and sizes") {
-    val evs = NexmarkGen.events(base.copy(ratePerSec = 100.0))
-    val ses = NexmarkGen.sourceEvents(evs)
-    assert(ses.map(_.ts) == evs.map(_.ts))
-    assert(ses.map(_.bytes) == evs.map(_.sizeBytes))
-  }
 }
