@@ -1,6 +1,7 @@
 package repro.checkpoint
 
-import repro.dataflow.{ChannelId, InstanceId}
+import repro.dataflow.InstanceId
+import scala.collection.immutable.ArraySeq
 
 /** Why a checkpoint was taken. */
 sealed trait CkptKind
@@ -17,8 +18,11 @@ case object InitialCkpt                  extends CkptKind
   *
   * `lastSent`/`lastReceived` are the per-channel sequence vectors that the
   * recovery machinery uses for orphan detection (checkpoint-graph edges),
-  * replay-range extraction and deduplication. `snapshot` bundles the logic
-  * state; `srcOffset` is the replayable-input position for sources.
+  * replay-range extraction and deduplication: copies of the instance's
+  * arrays taken at the checkpoint, indexed like its `outCh`/`inCh`. The
+  * topology is fixed per run, so every checkpoint of an instance has the
+  * same layout. `snapshot` bundles the logic state; `srcOffset` is the
+  * replayable-input position for sources.
   *
   * @param takenAt   virtual time the synchronous snapshot completed
   * @param durableAt virtual time the async upload completed (recovery only
@@ -34,8 +38,8 @@ final case class CkptMeta(
     durableAt: Long,
     stateBytes: Long,
     snapshot: Any,
-    lastSent: Map[ChannelId, Long],
-    lastReceived: Map[ChannelId, Long],
+    lastSent: ArraySeq.ofLong,
+    lastReceived: ArraySeq.ofLong,
     srcOffset: Long,
     counted: Boolean,
     syncMicros: Long,

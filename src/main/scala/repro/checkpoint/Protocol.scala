@@ -88,7 +88,6 @@ trait ProtocolRuntime {
   def store: StateStore
   def log: MessageLog
   def metrics: repro.metrics.MetricsCollector
-  def instance(id: InstanceId): Instance
   def now: Long
   /** Schedule a ProtocolTimer event. */
   def scheduleTimer(time: Long, tag: String, inst: Option[InstanceId], payload: Long): Unit

@@ -42,39 +42,38 @@ object Recovery {
     if (perWorker.isEmpty) 0L else perWorker.max
   }
 
-  /** The maximum consistent recovery line over `ckpts` (per instance, the
-    * candidate checkpoints oldest first), as a worklist fixpoint over the
-    * seq vectors: start from every instance's newest checkpoint; while some
-    * channel i -> j of `topo` has `line(j).lastReceived(ch) > line(i).lastSent(ch)`
-    * (an orphan message), move j back to its newest checkpoint that does
-    * not orphan it, and recheck j's receivers. Vectors grow along each
-    * instance's list, so j never moves below the greatest consistent line:
-    * the result is the line Algorithm 1 (rollback propagation over the
-    * checkpoint graph) returns, at the cost of one pass per move.
+  /** The maximum consistent recovery line over `lists` (per instance in
+    * `topo`'s order, the candidate checkpoints oldest first), as a worklist
+    * fixpoint over the seq vectors: start from every instance's newest
+    * checkpoint; while some channel i -> j of `topo` has
+    * `line(j).lastReceived(kIn) > line(i).lastSent(kOut)` (an orphan
+    * message), move j back to its newest checkpoint that does not orphan
+    * it, and recheck j's receivers. Vectors grow along each instance's
+    * list, so j never moves below the greatest consistent line: the result
+    * is the line Algorithm 1 (rollback propagation over the checkpoint
+    * graph) returns, at the cost of one pass per move.
     *
-    * @return (recovery line, number of checkpoints rolled past per instance)
+    * @return the line, as each instance's position in its list
     */
-  def recoveryLine(topo: LineTopology, ckpts: Map[InstanceId, IndexedSeq[CkptMeta]])
-      : (Map[InstanceId, CkptMeta], Map[InstanceId, Int]) = {
-    val ids = topo.ids
-    val lists = ids.map(ckpts).toArray
+  def recoveryLine(topo: LineTopology, lists: IndexedSeq[IndexedSeq[CkptMeta]]): Array[Int] = {
     require(lists.forall(_.nonEmpty), "every instance needs at least its initial checkpoint")
-    val n = ids.length
-    val pos = lists.map(_.length - 1)
+    val n = lists.length
+    val pos = lists.map(_.length - 1).toArray
     val queued = Array.fill(n)(true)
     val work = mutable.Queue.from(0 until n)
     while (work.nonEmpty) {
       val j = work.dequeue()
       queued(j) = false
       var p = pos(j)
-      val chans = topo.inCh(j)
+      val kIn = topo.inIdx(j)
+      val from = topo.sender(j)
+      val kOut = topo.outIdx(j)
       var c = 0
-      while (c < chans.length) {
-        val ch = chans(c)
-        val i = topo.inFrom(j)(c)
-        val sent = lists(i)(pos(i)).lastSent.getOrElse(ch, 0L)
-        while (lists(j)(p).lastReceived.getOrElse(ch, 0L) > sent) {
-          require(p > 0, s"the recovery line fell past the oldest checkpoint of ${ids(j)} — " +
+      while (c < kIn.length) {
+        val i = from(c)
+        val sent = lists(i)(pos(i)).lastSent(kOut(c))
+        while (lists(j)(p).lastReceived(kIn(c)) > sent) {
+          require(p > 0, s"the recovery line fell past the oldest checkpoint of ${topo.ids(j)} — " +
             "initial checkpoints must form a consistent line")
           p -= 1
         }
@@ -85,9 +84,7 @@ object Recovery {
         topo.receivers(j).foreach(k => if (!queued(k)) { queued(k) = true; work.enqueue(k) })
       }
     }
-    val line = (0 until n).map(i => ids(i) -> lists(i)(pos(i))).toMap
-    val rolledPast = (0 until n).map(i => ids(i) -> (lists(i).length - 1 - pos(i))).toMap
-    (line, rolledPast)
+    pos
   }
 
   /** Full UNC/CIC recovery plan: compute the recovery line over the durable
@@ -96,30 +93,31 @@ object Recovery {
     * price the restart.
     */
   def planLogged(rt: ProtocolRuntime, topo: LineTopology, failTime: Long): RecoveryPlan = {
-    val ckpts = durable(rt, topo, failTime)
-    val (line, rolledPast) = recoveryLine(topo, ckpts)
+    val lists = durable(rt, topo, failTime)
+    val pos = recoveryLine(topo, lists)
+    val line = lists.indices.map(j => lists(j)(pos(j)))
 
     // Invalid checkpoints: counted checkpoints the algorithm rolled past —
     // they cannot be part of this (or any fresher) consistent recovery line.
-    val invalid = rolledPast.iterator.map { case (id, n) =>
-      if (n == 0) 0 else ckpts(id).takeRight(n).count(_.counted)
-    }.sum
+    val invalid = lists.indices.iterator.map(j => lists(j).drop(pos(j) + 1).count(_.counted)).sum
 
     // In-flight channel state of the line, from the sender-side logs.
+    val w = rt.graph.wiring
     val replay: Map[ChannelId, IndexedSeq[Msg]] = (for {
-      (id, meta) <- line.iterator
-      (ch, sent) <- meta.lastSent.iterator
-      recvMeta = line(ch.to)
-      lo = recvMeta.lastReceived.getOrElse(ch, 0L)
+      i <- line.indices.iterator
+      k <- w.outCh(i).indices
+      lo = line(w.peer(i)(k)).lastReceived(w.peerIn(i)(k))
+      sent = line(i).lastSent(k)
       if lo < sent
-    } yield ch -> rt.log.range(ch, lo, sent)).toMap
+    } yield w.outCh(i)(k) -> rt.log.range(w.outCh(i)(k), lo, sent)).toMap
 
     // The modelled search runs over the whole checkpoint graph, so the
     // checkpoints collected before the failure are charged too.
-    val nNodes = rt.store.collectedDurable + ckpts.valuesIterator.map(_.size).sum
+    val nNodes = rt.store.collectedDurable + lists.iterator.map(_.size).sum
     val lineAlgo = LineAlgoPerNodeMicros * nNodes
-    val restart = stateLoadMicros(rt, line) + lineAlgo + replayPrepMicros(rt, replay)
-    RecoveryPlan(line, replay, restart, invalid, lineAlgo)
+    val lineById = topo.ids.zip(line).toMap
+    val restart = stateLoadMicros(rt, lineById) + lineAlgo + replayPrepMicros(rt, replay)
+    RecoveryPlan(lineById, replay, restart, invalid, lineAlgo)
   }
 
   /** Garbage collection for the logged protocols (Wang, Chung, Lin & Fuchs,
@@ -131,46 +129,67 @@ object Recovery {
     * time.
     */
   def collect(rt: ProtocolRuntime, topo: LineTopology, now: Long): Unit = {
-    val (line, _) = recoveryLine(topo, durable(rt, topo, now))
-    line.valuesIterator.foreach { meta =>
+    val lists = durable(rt, topo, now)
+    val pos = recoveryLine(topo, lists)
+    val inCh = rt.graph.wiring.inCh
+    for (j <- lists.indices) {
+      val meta = lists(j)(pos(j))
       rt.store.collectBelow(meta.id, meta.idx, now)
-      meta.lastReceived.foreach { case (ch, seq) => rt.log.collectThrough(ch, seq) }
+      for (k <- inCh(j).indices) rt.log.collectThrough(inCh(j)(k), meta.lastReceived(k))
     }
   }
 
-  /** Every instance's checkpoints durable at `at`, oldest first. */
+  /** Every instance's checkpoints durable at `at`, oldest first, in the
+    * order of `topo`, which must be the one of the runtime's wiring.
+    */
   private def durable(rt: ProtocolRuntime, topo: LineTopology, at: Long)
-      : Map[InstanceId, IndexedSeq[CkptMeta]] =
-    topo.ids.iterator.map(id => id -> rt.store.durable(id, at)).toMap
+      : IndexedSeq[IndexedSeq[CkptMeta]] = {
+    require(topo.ids == rt.graph.wiring.instances, "the line topology must be the runtime graph's")
+    topo.ids.map(rt.store.durable(_, at))
+  }
 }
 
 /** The channels the recovery-line search walks, which the dataflow's
-  * topology fixes: for instance `j` (its index in `ids`), its input
-  * channels from other instances (`inCh(j)`, sent by `inFrom(j)`), and the
-  * instances it sends to (`receivers(j)`). Built once per run.
+  * topology fixes. For instance `j` (its index in `ids`) and its `c`-th
+  * input channel from another instance: the channel's index among j's
+  * inputs (`inIdx(j)(c)`), its sender (`sender(j)(c)`) and its index among
+  * the sender's outputs (`outIdx(j)(c)`). Also the instances j sends to
+  * (`receivers(j)`). Built once per run.
   */
 final class LineTopology private (
     val ids: IndexedSeq[InstanceId],
-    val inCh: Array[Array[ChannelId]],
-    val inFrom: Array[Array[Int]],
+    val inIdx: Array[Array[Int]],
+    val sender: Array[Array[Int]],
+    val outIdx: Array[Array[Int]],
     val receivers: Array[Array[Int]],
 )
 
 object LineTopology {
-  /** The instances `ids` and every channel between two of them. */
-  def apply(ids: IndexedSeq[InstanceId], channels: Iterable[ChannelId]): LineTopology = {
+  /** The instances `ids` and their channel tables: `inCh(j)` and `outCh(j)`
+    * list instance j's input and output channels, indexed like its
+    * checkpoints' `lastReceived` and `lastSent`. Every channel's ends must
+    * be among `ids`.
+    */
+  def apply(ids: IndexedSeq[InstanceId], inCh: IndexedSeq[IndexedSeq[ChannelId]],
+      outCh: IndexedSeq[IndexedSeq[ChannelId]]): LineTopology = {
     val at = ids.iterator.zipWithIndex.toMap
-    val cross = for (ch <- channels.toSeq; i <- at.get(ch.from); j <- at.get(ch.to) if j != i)
-      yield (ch, i, j)
-    val byReceiver = cross.groupBy(_._3)
-    val bySender = cross.groupBy(_._2)
-    def per[A: scala.reflect.ClassTag](groups: Map[Int, Seq[(ChannelId, Int, Int)]])(
-        f: ((ChannelId, Int, Int)) => A): Array[Array[A]] =
-      Array.tabulate(ids.length)(j => groups.getOrElse(j, Nil).map(f).toArray)
-    new LineTopology(ids, per(byReceiver)(_._1), per(byReceiver)(_._2), per(bySender)(_._3))
+    val outPos = mutable.HashMap.empty[ChannelId, Int]
+    for (out <- outCh; k <- out.indices) outPos(out(k)) = k
+    // Per receiver, its cross-instance inputs as (input index, sender, output index).
+    val cross = ids.indices.map { j =>
+      for (k <- inCh(j).indices; i = at(inCh(j)(k).from) if i != j)
+        yield (k, i, outPos(inCh(j)(k)))
+    }
+    new LineTopology(ids,
+      inIdx = cross.map(_.map(_._1).toArray).toArray,
+      sender = cross.map(_.map(_._2).toArray).toArray,
+      outIdx = cross.map(_.map(_._3).toArray).toArray,
+      receivers = Array.tabulate(ids.length)(i => outCh(i).map(ch => at(ch.to)).filter(_ != i).toArray))
   }
 
-  /** Every instance of `graph` and every channel of its wiring. */
-  def apply(graph: Graph): LineTopology =
-    apply(graph.wiring.instances, graph.wiring.outCh.flatMap(_.iterator))
+  /** Every instance of `graph` and its wiring's channel tables. */
+  def apply(graph: Graph): LineTopology = {
+    val w = graph.wiring
+    apply(w.instances, w.inCh.toIndexedSeq, w.outCh.toIndexedSeq)
+  }
 }

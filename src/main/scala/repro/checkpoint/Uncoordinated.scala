@@ -29,7 +29,7 @@ class Uncoordinated extends Protocol {
 
   /** Checkpoint-metadata RPC to the coordinator: header + seq vectors. */
   protected def metaRpcBytes(meta: CkptMeta): Long =
-    32L + 8L * (meta.lastSent.size + meta.lastReceived.size)
+    32L + 8L * (meta.lastSent.length + meta.lastReceived.length)
 
   protected var rt: ProtocolRuntime = _
   /** Checkpoints made durable since the last collection. */

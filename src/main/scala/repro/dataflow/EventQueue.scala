@@ -1,5 +1,7 @@
 package repro.dataflow
 
+import repro.checkpoint.CkptMeta
+
 /** Actions processed by the discrete-event engine. */
 sealed trait SimAction
 /** A message arrives at the receiving end of `msg.channel`: instance `to`
@@ -16,8 +18,8 @@ final case class Wake(index: Int)                          extends SimAction
   */
 final case class ProtocolTimer(tag: String, inst: Option[InstanceId], payload: Long)
     extends SimAction
-/** A checkpoint upload reaches durable storage. */
-final case class UploadDone(id: InstanceId, ckptIdx: Int)  extends SimAction
+/** The upload of checkpoint `meta` reaches durable storage. */
+final case class UploadDone(meta: CkptMeta)                extends SimAction
 /** Inject the configured global failure. */
 case object InjectFailure                                  extends SimAction
 /** Recovery finished; restore state and resume processing. */

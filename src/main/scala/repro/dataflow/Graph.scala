@@ -113,11 +113,6 @@ final case class Graph(ops: Seq[OperatorSpec], edges: Seq[Edge], parallelism: In
   /** Dense channel tables, built once on first use. */
   lazy val wiring: Wiring = Wiring(this)
 
-  /** Physical input channels of an instance (dedup'd across parallel edges). */
-  def inChannels(id: InstanceId): Seq[ChannelId] = wiring.inCh(wiring.index(id))
-
-  def outChannels(id: InstanceId): Seq[ChannelId] = wiring.outCh(wiring.index(id))
-
   /** Whether the logical graph contains a cycle (COOR refuses these). */
   def isCyclic: Boolean = {
     val adj = edges.groupBy(_.from).view.mapValues(_.map(_.to)).toMap

@@ -73,9 +73,6 @@ final class Instance(
   /** FIFO inbox per input channel. */
   val inbox: Array[Inbox] = Array.fill(inCh.size)(new Inbox)
 
-  /** Position of each input channel in `inCh` (markers and replay only). */
-  lazy val inIndex: Map[ChannelId, Int] = inCh.zipWithIndex.toMap
-
   /** The (immutable) wake-up event of this instance, shared by every schedule. */
   val wake: Wake = Wake(index)
 
@@ -109,8 +106,11 @@ final class Instance(
 
   def isIdleAt(t: Long): Boolean = busyUntil <= t
 
+  /** Block input channel `ch`. A linear scan finds it: markers come a few
+    * per channel per round.
+    */
   def block(ch: ChannelId): Unit = {
-    val k = inIndex(ch)
+    val k = inCh.indexOf(ch)
     if (!blocked(k)) { blocked(k) = true; blockedCount += 1 }
   }
 
@@ -142,27 +142,6 @@ final class Instance(
 
   /** Messages waiting in all inboxes. */
   def queuedMessages: Long = inbox.iterator.map(_.size.toLong).sum
-
-  /** Sequence vector of the output channels, for a checkpoint. */
-  def sentVector: Map[ChannelId, Long] = vector(outCh, lastSent)
-
-  /** Sequence vector of the input channels, for a checkpoint. */
-  def receivedVector: Map[ChannelId, Long] = vector(inCh, lastReceived)
-
-  private def vector(chs: IndexedSeq[ChannelId], seqs: Array[Long]): Map[ChannelId, Long] = {
-    val b = Map.newBuilder[ChannelId, Long]
-    var k = 0
-    while (k < seqs.length) { b += chs(k) -> seqs(k); k += 1 }
-    b.result()
-  }
-
-  /** Reset the sequence counters to a checkpoint's vectors; channels absent
-    * from an old checkpoint default to seq 0.
-    */
-  def restoreVectors(sent: Map[ChannelId, Long], received: Map[ChannelId, Long]): Unit = {
-    for (k <- outCh.indices) lastSent(k) = sent.getOrElse(outCh(k), 0L)
-    for (k <- inCh.indices) lastReceived(k) = received.getOrElse(inCh(k), 0L)
-  }
 
   /** Reset all volatile runtime structures (on failure). */
   def dropVolatile(): Unit = {

@@ -2,6 +2,7 @@ package repro.dataflow
 
 import repro.checkpoint._
 import repro.metrics.MetricsCollector
+import scala.collection.immutable.ArraySeq
 import scala.collection.mutable
 
 /** The streaming-dataflow engine: a deterministic discrete-event simulator
@@ -61,7 +62,6 @@ final class Runtime(
   private val srcTimes: Array[Array[Long]] = nodes.map(i => input.times(i.id))
   private val srcValues: Array[Array[Any]] = nodes.map(i => input.values(i.id))
 
-  def instance(id: InstanceId): Instance = insts(id)
   def allInstances: Iterable[Instance]   = insts.values
 
   private var pendingPlan: Option[RecoveryPlan] = None
@@ -75,8 +75,13 @@ final class Runtime(
   private def writeInitialCheckpoints(): Unit =
     insts.values.foreach { inst =>
       store.put(CkptMeta(inst.id, 0, InitialCkpt, 0L, 0L, 0L, inst.logic.snapshot(),
-        inst.sentVector, inst.receivedVector, 0L, counted = false, syncMicros = 0L))
+        copy(inst.lastSent), copy(inst.lastReceived), 0L, counted = false, syncMicros = 0L))
     }
+
+  /** A checkpoint's copy of a sequence vector: the instance keeps counting
+    * in its own array.
+    */
+  private def copy(seqs: Array[Long]): ArraySeq.ofLong = new ArraySeq.ofLong(seqs.clone())
 
   // ------------------------------------------------------------- main loop
 
@@ -109,8 +114,7 @@ final class Runtime(
       tryStart(inst)
     case Wake(i)  => tryStart(nodes(i))
     case ProtocolTimer(tag, inst, payload) => protocol.onTimer(tag, inst, payload, clock)
-    case UploadDone(id, idx) =>
-      store.byIdx(id, idx).foreach(m => protocol.onDurable(m, clock))
+    case UploadDone(meta) => protocol.onDurable(meta, clock)
     case InjectFailure => injectFailure()
     case Resume        => resume()
   }
@@ -275,12 +279,12 @@ final class Runtime(
     val takenAt = startAt + sync
     val durableAt = takenAt + cfg.uploadMicros(bytes)
     val meta = CkptMeta(inst.id, inst.nextCkptIdx, kind, takenAt, durableAt, bytes,
-      inst.logic.snapshot(), inst.sentVector, inst.receivedVector, inst.srcOffset,
+      inst.logic.snapshot(), copy(inst.lastSent), copy(inst.lastReceived), inst.srcOffset,
       counted = inst.spec.counted, syncMicros = sync)
     inst.nextCkptIdx += 1
     inst.busyUntil = takenAt
     store.put(meta)
-    queue.schedule(durableAt, UploadDone(inst.id, meta.idx))
+    queue.schedule(durableAt, UploadDone(meta))
     if (meta.counted && takenAt >= cfg.warmupMicros && takenAt <= cfg.endMicros)
       metrics.ckptSyncMicros += sync
     protocol.onCheckpoint(inst, meta, takenAt)
@@ -330,7 +334,8 @@ final class Runtime(
     insts.values.foreach { inst =>
       val meta = plan.line(inst.id)
       inst.logic.restore(meta.snapshot)
-      inst.restoreVectors(meta.lastSent, meta.lastReceived)
+      meta.lastSent.copyToArray(inst.lastSent)
+      meta.lastReceived.copyToArray(inst.lastReceived)
       inst.srcOffset = meta.srcOffset
       inst.busyUntil = clock
       // Checkpoints past the line describe the rolled-back execution, and
@@ -343,7 +348,7 @@ final class Runtime(
     // of any regenerated traffic (regeneration needs >= one service time).
     plan.replay.toSeq.sortBy(_._1.toString).foreach { case (ch, msgs) =>
       val to = wiring.index(ch.to)
-      val inIdx = nodes(to).inIndex(ch)
+      val inIdx = nodes(to).inCh.indexOf(ch)
       msgs.zipWithIndex.foreach { case (m, i) =>
         queue.schedule(clock + 1 + i, Deliver(m, to, inIdx))
       }

@@ -1,7 +1,6 @@
 package repro.dataflow
 
 import repro.checkpoint.{CkptMeta, ForcedCkpt, InitialCkpt}
-import scala.collection.Searching
 import scala.collection.mutable
 
 /** Durable checkpoint store (the Minio substitute).
@@ -55,18 +54,6 @@ final class StateStore(countFrom: Long = Long.MinValue, countUntil: Long = Long.
   def durable(id: InstanceId, asOf: Long): IndexedSeq[CkptMeta] =
     byInstance.get(id).map(_.filter(_.durableAt <= asOf).toIndexedSeq)
       .getOrElse(IndexedSeq.empty)
-
-  /** Checkpoint `idx` of instance `id`, if held (binary search on idx). */
-  def byIdx(id: InstanceId, idx: Int): Option[CkptMeta] = byInstance.get(id).flatMap { buf =>
-    buf.view.map(_.idx).search(idx) match {
-      case Searching.Found(i) => Some(buf(i))
-      case _                  => None
-    }
-  }
-
-  /** Every held checkpoint of `id` (oldest first). */
-  def all(id: InstanceId): IndexedSeq[CkptMeta] =
-    byInstance.get(id).map(_.toIndexedSeq).getOrElse(IndexedSeq.empty)
 
   def allMetas: IndexedSeq[CkptMeta] =
     byInstance.valuesIterator.flatten.toIndexedSeq

@@ -4,16 +4,20 @@ import repro.checkpoint._
 import repro.core.{ExpConfig, Experiment, ExpResult}
 import repro.dataflow._
 import repro.queries.QueryDef
+import scala.collection.immutable.ArraySeq
 import scala.collection.mutable
 
 /** A protocol decorator that keeps the whole history the runtime's store
-  * and log collect away: every checkpoint (in a store of its own), every
+  * and log collect away: every checkpoint (in a store of its own), a copy
+  * of the instance's seq vectors as each checkpoint completed, every
   * applied data message, the last recovery plan, and the peak number of
   * messages the runtime's log held at a send. Forwards every member.
   */
 final class Recorder(val inner: Protocol) extends Protocol {
   /** Every checkpoint ever taken, initial ones included. */
   val store = new StateStore
+  /** `inst.lastSent` and `lastReceived` when checkpoint (id, idx) completed. */
+  val vectorsAt = mutable.Map.empty[(InstanceId, Int), (ArraySeq.ofLong, ArraySeq.ofLong)]
   /** Every data message applied (deduplicated ones are not applied). */
   val applied = mutable.ArrayBuffer.empty[Msg]
   var lastPlan: Option[RecoveryPlan] = None
@@ -45,6 +49,8 @@ final class Recorder(val inner: Protocol) extends Protocol {
     inner.onMarker(inst, channel, round, now)
   def onCheckpoint(inst: Instance, meta: CkptMeta, now: Long): Unit = {
     store.put(meta)
+    vectorsAt((inst.id, meta.idx)) =
+      (new ArraySeq.ofLong(inst.lastSent.clone()), new ArraySeq.ofLong(inst.lastReceived.clone()))
     inner.onCheckpoint(inst, meta, now)
   }
   def onDurable(meta: CkptMeta, now: Long): Unit = inner.onDurable(meta, now)

@@ -13,8 +13,13 @@ import repro.dataflow.{ChannelId, InstanceId}
   *     taken. With contiguous per-channel sequence numbers this reduces to
   *     `c(j,y).lastReceived(ch) > c(i,x).lastSent(ch)` for some channel
   *     ch: i -> j.
+  *
+  * The vectors are read by channel through the raw channel `tables`, not
+  * through the runtime's [[LineTopology]], so that this oracle shares no
+  * index arithmetic with the code it checks.
   */
-final class CheckpointGraph(val ckpts: Map[InstanceId, IndexedSeq[CkptMeta]]) {
+final class CheckpointGraph(val ckpts: Map[InstanceId, IndexedSeq[CkptMeta]],
+    tables: ChannelTables) {
 
   /** Node handle: (instance, checkpoint index position in its list). */
   final case class Node(id: InstanceId, pos: Int) {
@@ -26,24 +31,23 @@ final class CheckpointGraph(val ckpts: Map[InstanceId, IndexedSeq[CkptMeta]]) {
       ms.indices.map(Node(id, _))
     }
 
-  /** Channels between different instances, derived from the seq vectors. */
-  private val channels: IndexedSeq[(ChannelId, InstanceId, InstanceId)] = {
-    val chs = ckpts.valuesIterator.flatten.flatMap(_.lastSent.keys).toSet
-    chs.toIndexedSeq.sortBy(_.toString).map(ch => (ch, ch.from, ch.to))
-  }
+  /** Channels between different instances that both have checkpoints. */
+  private val channels: IndexedSeq[ChannelId] = tables.channels
+    .filter(ch => ch.from != ch.to && ckpts.contains(ch.from) && ckpts.contains(ch.to))
+    .sortBy(_.toString)
 
   /** Outgoing edges of a node (computed on demand; graphs are small). */
   def edges(n: Node): IndexedSeq[Node] = {
     val own =
       if (n.pos + 1 < ckpts(n.id).length) IndexedSeq(Node(n.id, n.pos + 1)) else IndexedSeq.empty
     val cross = for {
-      (ch, from, to) <- channels
-      if from == n.id && to != n.id
-      sent = n.meta.lastSent.getOrElse(ch, 0L)
-      toCkpts = ckpts.getOrElse(to, IndexedSeq.empty)
+      ch <- channels
+      if ch.from == n.id
+      sent = tables.sentOn(n.meta, ch)
+      toCkpts = ckpts(ch.to)
       pos <- toCkpts.indices
-      if toCkpts(pos).lastReceived.getOrElse(ch, 0L) > sent
-    } yield Node(to, pos)
+      if tables.receivedOn(toCkpts(pos), ch) > sent
+    } yield Node(ch.to, pos)
     own ++ cross.distinct
   }
 
@@ -66,10 +70,9 @@ final class CheckpointGraph(val ckpts: Map[InstanceId, IndexedSeq[CkptMeta]]) {
     * message between any pair — i.e. it is a consistent recovery line.
     */
   def isConsistent(line: Map[InstanceId, CkptMeta]): Boolean =
-    channels.forall { case (ch, from, to) =>
-      (line.get(from), line.get(to)) match {
-        case (Some(f), Some(t)) =>
-          t.lastReceived.getOrElse(ch, 0L) <= f.lastSent.getOrElse(ch, 0L)
+    channels.forall { ch =>
+      (line.get(ch.from), line.get(ch.to)) match {
+        case (Some(f), Some(t)) => tables.receivedOn(t, ch) <= tables.sentOn(f, ch)
         case _ => true
       }
     }

@@ -20,14 +20,15 @@ class CoordinatedSpec extends AnyFunSuite {
   }
 
   test("alignment invariant: in a completed round, every channel is flushed (recv == sent)") {
-    val (_, _, history) =
+    val (rt, _, history) =
       SimTestKit.recordedRun(Q3, "COOR", 3, rate = 100.0, horizonMicros = 10_000_000L)
     val coor = history.inner.asInstanceOf[Coordinated]
+    val tables = ChannelTables(rt.graph)
     for (r <- coor.completedRounds.keys) {
       val metas = history.store.allMetas.filter(_.kind == CoordinatedCkpt(r))
         .map(m => m.id -> m).toMap
-      for ((id, m) <- metas; (ch, sent) <- m.lastSent) {
-        val recv = metas(ch.to).lastReceived.getOrElse(ch, -1L)
+      for ((id, m) <- metas; (ch, sent) <- tables.sentMap(m)) {
+        val recv = tables.receivedOn(metas(ch.to), ch)
         assert(recv == sent,
           s"round $r channel $ch not aligned: sender sent=$sent receiver recv=$recv")
       }

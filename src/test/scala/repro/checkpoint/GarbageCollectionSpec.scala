@@ -19,6 +19,7 @@ class GarbageCollectionSpec extends AnyFunSuite {
     val f = rt.metrics.failureAt.get
     val plan = history.lastPlan.get
     val ckpts = rt.graph.instances.map(id => id -> history.store.durable(id, f)).toMap
+    val tables = ChannelTables(rt.graph)
     history.inner match {
       case coor: Coordinated =>
         val round = coor.completedRounds.collect { case (r, (_, end)) if end <= f => r }.maxOption
@@ -28,7 +29,7 @@ class GarbageCollectionSpec extends AnyFunSuite {
         assert(plan.line == line)
         assert(plan.replay.isEmpty)
       case _ =>
-        val (line, rolled) = RollbackPropagation.recoveryLine(new CheckpointGraph(ckpts))
+        val (line, rolled) = RollbackPropagation.recoveryLine(new CheckpointGraph(ckpts, tables))
         assert(plan.line == line)
         val invalid = rolled.iterator.map { case (id, n) =>
           ckpts(id).takeRight(n).count(_.counted)
@@ -38,8 +39,8 @@ class GarbageCollectionSpec extends AnyFunSuite {
         assert(plan.lineAlgoMicros == Recovery.LineAlgoPerNodeMicros * nodes)
         val ranges = for {
           meta <- line.values
-          (ch, sent) <- meta.lastSent
-          lo = line(ch.to).lastReceived.getOrElse(ch, 0L)
+          (ch, sent) <- tables.sentMap(meta)
+          lo = tables.receivedOn(line(ch.to), ch)
           if lo < sent
         } yield ch -> ((lo + 1) to sent)
         assert(plan.replay.view.mapValues(_.map(_.seq)).toMap ==
@@ -59,7 +60,7 @@ class GarbageCollectionSpec extends AnyFunSuite {
       checkAgainstHistory(rt, history)
       assert(res.eoViolations == 0 && res.unconsumed == 0)
       // Collection did drop something, or the check above proves nothing.
-      val held = rt.graph.instances.map(id => rt.store.all(id).size).sum
+      val held = rt.graph.instances.map(id => rt.store.durable(id, Long.MaxValue).size).sum
       assert(held < history.store.allMetas.size)
     }
 
@@ -82,7 +83,8 @@ class GarbageCollectionSpec extends AnyFunSuite {
     for (p <- Seq("COOR", "UNC", "CIC")) {
       val (rt, res) = SimTestKit.run(Q3, p, 3, rate = 150.0, horizonMicros = 15_000_000L,
         failAt = Some(6_000_000L))
-      val perInstance = rt.graph.instances.map((id: InstanceId) => rt.store.all(id).size)
+      val perInstance =
+        rt.graph.instances.map((id: InstanceId) => rt.store.durable(id, Long.MaxValue).size)
       assert(perInstance.max <= 4, s"$p holds $perInstance")
       assert(res.totalCounted > 10L * rt.graph.instances.size, s"$p counted ${res.totalCounted}")
     }

@@ -7,6 +7,25 @@ import repro.queries._
 /** The restart-time model and recovery-plan internals. */
 class RecoverySpec extends AnyFunSuite {
 
+  test("Q3/CIC: every held checkpoint's seq vectors are the instance's when it was taken") {
+    val (rt, res, history) = SimTestKit.recordedRun(Q3, "CIC", 3, rate = 150.0,
+      horizonMicros = 15_000_000L, failAt = Some(9_000_000L))
+    assert(res.eoViolations == 0 && res.unconsumed == 0)
+    val w = rt.graph.wiring
+    // The recorder holds every checkpoint of the run, those taken while
+    // records still flowed included; the runtime's store holds a subset.
+    val held = history.store.allMetas
+    assert(rt.store.allMetas.forall(m => held.exists(_ eq m)))
+    for (m <- held) {
+      val (sent, received) =
+        if (m.kind == InitialCkpt) {
+          val g = w.index(m.id)
+          (Seq.fill(w.outCh(g).size)(0L), Seq.fill(w.inCh(g).size)(0L))
+        } else history.vectorsAt((m.id, m.idx))
+      assert(m.lastSent == sent && m.lastReceived == received, s"${m.id} checkpoint ${m.idx}")
+    }
+  }
+
   test("recovery line restores exactly the checkpointed source offsets") {
     val (rt, _) = SimTestKit.run(Q1, "UNC", 2, rate = 200.0,
       horizonMicros = 15_000_000L, failAt = Some(8_000_000L))

@@ -68,11 +68,15 @@ class ComponentsSpec extends AnyFunSuite {
     intercept[IllegalArgumentException](out.append(msg(3)))
   }
 
+  /** Instance `a` alone, with no channels. */
+  private val alone = ChannelTables(IndexedSeq(a), Nil)
+
   test("state store: collection and recovery drop checkpoints, tallies stay") {
     val store = new StateStore(countFrom = 100, countUntil = 1000)
     def meta(idx: Int, takenAt: Long, durableAt: Long, kind: CkptKind = LocalCkpt) =
-      CkptMeta(a, idx, kind, takenAt, durableAt, 0, (), Map.empty, Map.empty, 0,
-        counted = true, syncMicros = 1)
+      CkptMeta(a, idx, kind, takenAt, durableAt, 0, (), alone.sent(a, Map.empty),
+        alone.received(a, Map.empty), 0, counted = true, syncMicros = 1)
+    def held = store.durable(a, Long.MaxValue)
     store.put(meta(0, 0, 0, InitialCkpt))
     store.put(meta(1, 50, 60))
     store.put(meta(2, 150, 900)) // a slow upload, still pending at 500
@@ -81,15 +85,13 @@ class ComponentsSpec extends AnyFunSuite {
     store.put(meta(5, 400, 410))
     assert(store.counted == 4 && store.forcedCounted == 1)
     store.collectBelow(a, 4, now = 500)
-    assert(store.all(a).map(_.idx) == Seq(2, 4, 5))
+    assert(held.map(_.idx) == Seq(2, 4, 5))
     assert(store.collectedDurable == 3)
-    assert(store.byIdx(a, 2).nonEmpty && store.byIdx(a, 3).isEmpty)
     store.dropAfter(a, 4)
-    assert(store.all(a).map(_.idx) == Seq(2, 4))
+    assert(held.map(_.idx) == Seq(2, 4))
     assert(store.collectedDurable == 3)
     store.put(meta(7, 600, 610))
-    assert(store.byIdx(a, 7).map(_.takenAt).contains(600L))
-    assert(store.byIdx(a, 5).isEmpty)
+    assert(held.map(m => m.idx -> m.takenAt) == Seq(2 -> 150L, 4 -> 300L, 7 -> 600L))
     assert(store.durable(a, 700).map(_.idx) == Seq(4, 7))
     assert(store.counted == 5 && store.forcedCounted == 1)
   }
@@ -97,11 +99,12 @@ class ComponentsSpec extends AnyFunSuite {
   test("state store filters on durability horizon") {
     val store = new StateStore
     def meta(idx: Int, durableAt: Long) = CkptMeta(a, idx, LocalCkpt, durableAt - 1,
-      durableAt, 0, (), Map.empty, Map.empty, 0, counted = true, syncMicros = 1)
+      durableAt, 0, (), alone.sent(a, Map.empty), alone.received(a, Map.empty), 0,
+      counted = true, syncMicros = 1)
     store.put(meta(1, 100)); store.put(meta(2, 200)); store.put(meta(3, 300))
     assert(store.durable(a, 250).map(_.idx) == Seq(1, 2))
     assert(store.durable(a, 99).isEmpty)
-    assert(store.all(a).size == 3)
+    assert(store.durable(a, Long.MaxValue).size == 3)
   }
 
   private def roundRobin(p: Int, expected: Long, n: Int): SourceInput = {

@@ -28,9 +28,10 @@ class GraphSpec extends AnyFunSuite {
   test("inChannels / outChannels are consistent") {
     val g = lin(2)
     val b0 = InstanceId("b", 0)
-    assert(g.inChannels(b0).map(_.from.op).toSet == Set("a"))
-    assert(g.inChannels(b0).size == 2)
-    assert(g.outChannels(b0) == Seq(ChannelId(b0, InstanceId("c", 0))))
+    val w = g.wiring
+    assert(w.inCh(w.index(b0)).map(_.from.op).toSet == Set("a"))
+    assert(w.inCh(w.index(b0)).size == 2)
+    assert(w.outCh(w.index(b0)) == Seq(ChannelId(b0, InstanceId("c", 0))))
   }
 
   test("one-pass wiring equals a per-instance scan of the edges, parallel edges included") {

@@ -13,11 +13,13 @@ import repro.dataflow.{ChannelId, InstanceId}
   */
 object RecoveryLineProps extends Properties("RecoveryLine") {
 
-  /** The random topology, and per-instance checkpoint lists over it: an
-    * all-zero initial checkpoint, then seq vectors that never decrease
-    * along the list.
+  /** The random topology's channel tables, and per-instance checkpoint
+    * lists over it in the tables' order: an all-zero initial checkpoint,
+    * then seq vectors that never decrease along the list. Each instance
+    * numbers its channels in the random order they were drawn, so a
+    * channel's input and output indices often differ.
     */
-  private val histories: Gen[(LineTopology, Map[InstanceId, IndexedSeq[CkptMeta]])] = for {
+  private val histories: Gen[(ChannelTables, IndexedSeq[IndexedSeq[CkptMeta]])] = for {
     n <- Gen.choose(2, 6)
     ids = (0 until n).map(i => InstanceId(s"op${i % 3}", i / 3))
     edges <- Gen.listOf(for {
@@ -33,31 +35,33 @@ object RecoveryLineProps extends Properties("RecoveryLine") {
   } yield {
     val sentOf = chans.zip(sent).toMap
     val recvOf = chans.zip(recv).toMap
-    LineTopology(ids, chans) -> ids.map { id =>
-      id -> (0 until len(id)).map { x =>
-        CkptMeta(id, x, if (x == 0) InitialCkpt else LocalCkpt, x.toLong, x.toLong, 0L, (),
-          chans.filter(_.from == id).map(ch => ch -> sentOf(ch)(x)).toMap,
-          chans.filter(_.to == id).map(ch => ch -> recvOf(ch)(x)).toMap,
-          0L, counted = true, syncMicros = 0L)
+    val tables = ChannelTables(ids, chans)
+    tables -> ids.map { id =>
+      (0 until len(id)).map { x =>
+        tables.meta(id, x, chans.filter(_.from == id).map(ch => ch -> sentOf(ch)(x)).toMap,
+          chans.filter(_.to == id).map(ch => ch -> recvOf(ch)(x)).toMap)
       }
-    }.toMap
+    }
   }
 
   property("fixpoint line and rolled-past counts equal Algorithm 1's") =
-    Prop.forAll(histories) { case (topo, ckpts) =>
-      val oracle = RollbackPropagation.recoveryLine(new CheckpointGraph(ckpts))
-      val fixpoint = Recovery.recoveryLine(topo, ckpts)
+    Prop.forAll(histories) { case (tables, lists) =>
+      val ids = tables.ids
+      val graph = new CheckpointGraph(ids.zip(lists).toMap, tables)
+      val oracle = RollbackPropagation.recoveryLine(graph)
+      val pos = Recovery.recoveryLine(tables.topology, lists)
+      val fixpoint = (ids.indices.map(j => ids(j) -> lists(j)(pos(j))).toMap,
+        ids.indices.map(j => ids(j) -> (lists(j).length - 1 - pos(j))).toMap)
       (fixpoint == oracle) :| s"fixpoint $fixpoint vs Algorithm 1 $oracle"
     }
 
   property("the line is the same over any durable suffix that contains it") =
-    Prop.forAll(histories, Gen.choose(0, 5)) { case ((topo, ckpts), drop) =>
+    Prop.forAll(histories, Gen.choose(0, 5)) { case ((tables, lists), drop) =>
       // Collection keeps the line and everything newer, so a plan over the
       // collected lists must find the same line.
-      val (line, _) = Recovery.recoveryLine(topo, ckpts)
-      val collected = ckpts.map { case (id, ms) =>
-        id -> ms.drop(math.min(drop, ms.indexOf(line(id))))
-      }
-      Recovery.recoveryLine(topo, collected)._1 == line
+      val pos = Recovery.recoveryLine(tables.topology, lists)
+      val collected = lists.indices.map(j => lists(j).drop(math.min(drop, pos(j))))
+      val after = Recovery.recoveryLine(tables.topology, collected)
+      lists.indices.forall(j => collected(j)(after(j)) == lists(j)(pos(j)))
     }
 }
