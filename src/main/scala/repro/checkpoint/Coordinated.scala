@@ -120,17 +120,15 @@ final class Coordinated extends Protocol {
     case _ => ()
   }
 
-  /** Account a round still in flight at the end of the run as a censored
-    * (lower-bound) duration — under skew/backpressure a stalled round IS
-    * the checkpointing-time story (paper Fig. 12), and dropping it would
-    * bias the average toward the few quick rounds.
+  /** The censored (lower-bound) duration at `endTime` of a round still in
+    * flight then, if any — under skew/backpressure a stalled round IS the
+    * checkpointing-time story (paper Fig. 12), and dropping it would bias
+    * the average toward the few quick rounds. A round that began in warmup
+    * but stalled across the whole window still belongs in the window's
+    * statistics. Changes nothing, so a run can be read more than once.
     */
-  def censorOpenRound(endTime: Long): Unit = activeRound.foreach { _ =>
-    // A round that began in warmup but stalled across the whole window
-    // still belongs in the window's statistics.
-    if (endTime > roundStart)
-      rt.metrics.roundDurationMicros += (endTime - roundStart)
-  }
+  def openRoundMicros(endTime: Long): Option[Long] =
+    activeRound.filter(_ => endTime > roundStart).map(_ => endTime - roundStart)
 
   def afterResume(now: Long): Unit = {
     activeRound = None
@@ -158,7 +156,7 @@ final class Coordinated extends Protocol {
       case None =>
         all.map(id => id -> rt.store.durable(id, failTime).head).toMap
     }
-    RecoveryPlan(line, Map.empty, restartMicros = Recovery.stateLoadMicros(rt, line),
+    RecoveryPlan(line, IndexedSeq.empty, restartMicros = Recovery.stateLoadMicros(rt, line),
       invalidCounted = 0, lineAlgoMicros = 0L)
   }
 }

@@ -1,8 +1,7 @@
 package repro.checkpoint
 
-import repro.dataflow.{ChannelId, Msg}
+import repro.dataflow.{Msg, Wiring}
 import scala.collection.immutable.ArraySeq
-import scala.collection.mutable
 
 /** Sender-side durable in-flight message log (upstream backup).
   *
@@ -14,33 +13,24 @@ import scala.collection.mutable
   * path), which the paper's testbed also assumes.
   *
   * The log holds a contiguous seq window per channel. Collection drops its
-  * front once no recovery line can ask for it again ([[collectThrough]]),
-  * and recovery drops its back past the restored sender position
-  * ([[truncateAfter]]), so that re-sent seqs are appended in place.
+  * front once no recovery line can ask for it again
+  * ([[ChannelLog.collectThrough]]), and recovery drops its back past the
+  * restored sender position ([[ChannelLog.truncateAfter]]), so that re-sent
+  * seqs are appended in place.
   *
-  * A sender appends through its channel's [[ChannelLog]], which it looks
-  * up once per run ([[channel]]), so an append costs no hash lookup.
+  * The channels are `wiring`'s: `log(i, k)` is the log of out-channel `k`
+  * of instance `i`, so a channel's log is two array reads away.
   */
-final class MessageLog {
-  private val byChannel = mutable.Map.empty[ChannelId, ChannelLog]
+final class MessageLog(wiring: Wiring) {
   private var appended: Long = 0L
   private var bytes0: Long = 0L
   private var held: Long = 0L
 
-  /** The log of channel `ch`, created empty on first use. */
-  def channel(ch: ChannelId): ChannelLog = byChannel.getOrElseUpdate(ch, new ChannelLog)
+  private val channels: Array[Array[ChannelLog]] =
+    wiring.outCh.map(out => Array.fill(out.length)(new ChannelLog))
 
-  /** Held messages with loExcl < seq <= hiIncl, in seq order. */
-  def range(ch: ChannelId, loExcl: Long, hiIncl: Long): IndexedSeq[Msg] =
-    byChannel.get(ch).fold(IndexedSeq.empty[Msg])(_.range(loExcl, hiIncl))
-
-  /** Drop the messages of `ch` with seq <= `seq`. */
-  def collectThrough(ch: ChannelId, seq: Long): Unit =
-    byChannel.get(ch).foreach(c => held -= c.dropThrough(seq))
-
-  /** Drop the messages of `ch` with seq > `seq`. */
-  def truncateAfter(ch: ChannelId, seq: Long): Unit =
-    byChannel.get(ch).foreach(c => held -= c.dropAfter(seq))
+  /** The log of out-channel `k` of instance `i` (dense indices of the wiring). */
+  def apply(i: Int, k: Int): ChannelLog = channels(i)(k)
 
   /** Bytes of every message ever appended. */
   def totalBytes: Long   = bytes0
@@ -79,32 +69,33 @@ final class MessageLog {
       held += 1
     }
 
-    private[MessageLog] def range(loExcl: Long, hiIncl: Long): IndexedSeq[Msg] = {
+    /** Held messages with loExcl < seq <= hiIncl, in seq order. */
+    def range(loExcl: Long, hiIncl: Long): IndexedSeq[Msg] = {
       val from = (math.max(loExcl, base) - base).toInt
       val until = (math.min(hiIncl, base + count) - base).toInt
       if (from >= until) IndexedSeq.empty
       else ArraySeq.unsafeWrapArray(Array.tabulate(until - from)(i => msgs(at(from + i))))
     }
 
-    /** Drops seqs <= `seq`; returns how many were dropped. */
-    private[MessageLog] def dropThrough(seq: Long): Int = {
+    /** Drop the messages with seq <= `seq`. */
+    def collectThrough(seq: Long): Unit = {
       val n = math.max(0L, math.min(seq, base + count) - base).toInt
       var i = 0
       while (i < n) { msgs(at(i)) = null; i += 1 }
       head = at(n)
       count -= n
       base += n
-      n
+      held -= n
     }
 
-    /** Drops seqs > `seq`; returns how many were dropped. */
-    private[MessageLog] def dropAfter(seq: Long): Int = {
+    /** Drop the messages with seq > `seq`. */
+    def truncateAfter(seq: Long): Unit = {
       val keep = (math.max(seq, base) - base).toInt
       val n = count - math.min(keep, count)
       var i = count - n
       while (i < count) { msgs(at(i)) = null; i += 1 }
       count -= n
-      n
+      held -= n
     }
   }
 }

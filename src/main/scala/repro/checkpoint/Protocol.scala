@@ -16,17 +16,26 @@ final case class ProtocolFeatures(
     forcedCheckpoints: Boolean,
 )
 
+/** The logged in-flight messages of one channel, in seq order, to
+  * re-deliver at resume to input channel `inIdx` of instance `to` (its
+  * dense index in [[Graph.wiring]]).
+  */
+final case class ChannelReplay(to: Int, inIdx: Int, msgs: IndexedSeq[Msg])
+
 /** Everything recovery needs to resume after a global failure.
   *
   * @param line            the recovery line: one durable checkpoint per instance
-  * @param replay          in-flight messages to re-deliver, per channel, seq order
+  * @param replay          in-flight messages to re-deliver, one entry per
+  *                        channel with messages to replay, in the order of
+  *                        the channels' names (`ChannelId.toString`), which
+  *                        is the order `resume` schedules them in
   * @param restartMicros   modelled restart time (state load + replay prep)
   * @param invalidCounted  counted checkpoints rolled past (invalid/unusable)
   * @param lineAlgoMicros  cost of the recovery-line computation
   */
 final case class RecoveryPlan(
     line: Map[InstanceId, CkptMeta],
-    replay: Map[ChannelId, IndexedSeq[Msg]],
+    replay: IndexedSeq[ChannelReplay],
     restartMicros: Long,
     invalidCounted: Int,
     lineAlgoMicros: Long,

@@ -31,12 +31,13 @@ object Recovery {
   }
 
   /** Replay-fetch/prep cost, max across (receiving) workers. */
-  def replayPrepMicros(rt: ProtocolRuntime, replay: Map[ChannelId, IndexedSeq[Msg]]): Long = {
-    val perWorker = replay.groupBy(_._1.to.idx).map { case (_, chans) =>
-      chans.iterator.map { case (_, msgs) =>
-        val bytes = msgs.iterator.map(_.wireBytes.toLong).sum
+  def replayPrepMicros(rt: ProtocolRuntime, replay: IndexedSeq[ChannelReplay]): Long = {
+    val ids = rt.graph.wiring.instances
+    val perWorker = replay.groupBy(r => ids(r.to).idx).map { case (_, chans) =>
+      chans.iterator.map { r =>
+        val bytes = r.msgs.iterator.map(_.wireBytes.toLong).sum
         ReplayFetchBaseMicros + math.round(bytes / 1024.0 * rt.cfg.storeMicrosPerKb) +
-          ReplayPrepPerMsgMicros * msgs.size
+          ReplayPrepPerMsgMicros * r.msgs.size
       }.sum
     }
     if (perWorker.isEmpty) 0L else perWorker.max
@@ -101,15 +102,17 @@ object Recovery {
     // they cannot be part of this (or any fresher) consistent recovery line.
     val invalid = lists.indices.iterator.map(j => lists(j).drop(pos(j) + 1).count(_.counted)).sum
 
-    // In-flight channel state of the line, from the sender-side logs.
+    // In-flight channel state of the line, from the sender-side logs, in
+    // the order of the channels' names, which resume schedules it in. The
+    // names themselves are sorted: "j[10]" comes before "j[2]".
     val w = rt.graph.wiring
-    val replay: Map[ChannelId, IndexedSeq[Msg]] = (for {
-      i <- line.indices.iterator
-      k <- w.outCh(i).indices
-      lo = line(w.peer(i)(k)).lastReceived(w.peerIn(i)(k))
-      sent = line(i).lastSent(k)
-      if lo < sent
-    } yield w.outCh(i)(k) -> rt.log.range(w.outCh(i)(k), lo, sent)).toMap
+    val named = mutable.ArrayBuffer.empty[(String, ChannelReplay)]
+    eachChannel(w, line) { (i, k, lo) =>
+      val sent = line(i).lastSent(k)
+      if (lo < sent) named += w.outCh(i)(k).toString ->
+        ChannelReplay(w.peer(i)(k), w.peerIn(i)(k), rt.log(i, k).range(lo, sent))
+    }
+    val replay = named.sortBy(_._1).iterator.map(_._2).toIndexedSeq
 
     // The modelled search runs over the whole checkpoint graph, so the
     // checkpoints collected before the failure are charged too.
@@ -131,13 +134,19 @@ object Recovery {
   def collect(rt: ProtocolRuntime, topo: LineTopology, now: Long): Unit = {
     val lists = durable(rt, topo, now)
     val pos = recoveryLine(topo, lists)
-    val inCh = rt.graph.wiring.inCh
-    for (j <- lists.indices) {
-      val meta = lists(j)(pos(j))
-      rt.store.collectBelow(meta.id, meta.idx, now)
-      for (k <- inCh(j).indices) rt.log.collectThrough(inCh(j)(k), meta.lastReceived(k))
-    }
+    val line = lists.indices.map(j => lists(j)(pos(j)))
+    line.foreach(meta => rt.store.collectBelow(meta.id, meta.idx, now))
+    eachChannel(rt.graph.wiring, line)((i, k, received) => rt.log(i, k).collectThrough(received))
   }
+
+  /** Calls `f(i, k, received)` for out-channel `k` of every instance `i` of
+    * `w`, where `received` is the channel's `lastReceived` in the receiver's
+    * checkpoint on `line`: the last seq of it that the line has applied.
+    */
+  private def eachChannel(w: Wiring, line: IndexedSeq[CkptMeta])(f: (Int, Int, Long) => Unit)
+      : Unit =
+    for (i <- w.outCh.indices; k <- w.outCh(i).indices)
+      f(i, k, line(w.peer(i)(k)).lastReceived(w.peerIn(i)(k)))
 
   /** Every instance's checkpoints durable at `at`, oldest first, in the
     * order of `topo`, which must be the one of the runtime's wiring.

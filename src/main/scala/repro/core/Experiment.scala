@@ -88,8 +88,7 @@ object Experiment {
     val m = rt.metrics
     val avgCkpt = protocol match {
       case c: Coordinated =>
-        c.censorOpenRound(cfg.sim.endMicros)
-        mean(m.roundDurationMicros.toSeq)
+        mean(m.roundDurationMicros.toSeq ++ c.openRoundMicros(cfg.sim.endMicros))
       case _ => mean(m.ckptSyncMicros.toSeq)
     }
     val lats = m.latencies

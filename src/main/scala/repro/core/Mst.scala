@@ -2,7 +2,6 @@ package repro.core
 
 import repro.dataflow.SimConfig
 import repro.queries.QueryDef
-import scala.collection.mutable
 
 /** Maximum-sustainable-throughput estimation (paper §V / Fig. 7).
   *
@@ -14,8 +13,6 @@ import scala.collection.mutable
   * "no backpressure, average throughput >= input rate" criterion).
   */
 object Mst {
-  private val cache = mutable.Map.empty[(String, String, Int, Double), Double]
-
   /** Probe-run length (virtual). Short runs keep the search cheap; the
     * sustainability verdict stabilizes well before 10 s at these rates.
     */
@@ -43,19 +40,20 @@ object Mst {
       rt.queuedMessagesAtEnd < 50L * parallelism
   }
 
-  /** Bisect the sustainable rate; returns events/s. */
-  def find(q: QueryDef, proto: String, parallelism: Int, hotRatio: Double = 0.0): Double =
-    cache.getOrElseUpdate((q.name, proto, parallelism, hotRatio), {
-      val cap = analyticCap(q, parallelism) * 1.3
-      var lo = cap / 40.0
-      var hi = cap
-      if (!stable(q, proto, parallelism, lo, hotRatio)) lo = cap / 200.0
-      var it = 0
-      while (it < 6) {
-        val mid = (lo + hi) / 2.0
-        if (stable(q, proto, parallelism, mid, hotRatio)) lo = mid else hi = mid
-        it += 1
-      }
-      lo
-    })
+  /** Bisect the sustainable rate; returns events/s. Every call searches:
+    * callers that need a rate more than once keep it.
+    */
+  def find(q: QueryDef, proto: String, parallelism: Int, hotRatio: Double = 0.0): Double = {
+    val cap = analyticCap(q, parallelism) * 1.3
+    var lo = cap / 40.0
+    var hi = cap
+    if (!stable(q, proto, parallelism, lo, hotRatio)) lo = cap / 200.0
+    var it = 0
+    while (it < 6) {
+      val mid = (lo + hi) / 2.0
+      if (stable(q, proto, parallelism, mid, hotRatio)) lo = mid else hi = mid
+      it += 1
+    }
+    lo
+  }
 }

@@ -41,10 +41,13 @@ object Tables {
   private val cyclicCache =
     scala.collection.mutable.Map.empty[(String, Int), ExpResult]
 
+  /** Vertices of the cyclic query's graph. */
+  private val CyclicNodes = 500_000L
+
   /** One cyclic-query cell at 75–80 % of MST (paper §VII). */
-  def cyclicCell(proto: String, workers: Int, nNodes: Long = 500_000L): ExpResult =
+  def cyclicCell(proto: String, workers: Int): ExpResult =
     cyclicCache.getOrElseUpdate((proto, workers), {
-      val q = Reachability(ReachConfig(nNodes = nNodes, ratePerSec = 0, durationMicros = 0))
+      val q = Reachability(ReachConfig(nNodes = CyclicNodes, ratePerSec = 0, durationMicros = 0))
       val rate = 0.78 * Mst.find(q, proto, workers)
       Experiment.run(ExpConfig(q, proto, workers, rate, sim = cyclicSim))._2
     })
@@ -128,7 +131,7 @@ object Tables {
   /** Render Table IV: cyclic query, UNC vs CIC. */
   def renderTable4(workers: Seq[Int] = Seq(5, 10)): String = {
     val sb = new StringBuilder
-    sb ++= "TABLE IV: Cyclic query — avg checkpointing time (CT), restart time (RT), invalid checkpoints (IC)\n"
+    sb ++= "TABLE IV: Cyclic query - avg checkpointing time (CT), restart time (RT), invalid checkpoints (IC)\n"
     sb ++= f"${"#Workers"}%-9s${"proto"}%-6s${"CT meas"}%12s${"CT paper"}%12s${"RT meas"}%12s${"RT paper"}%12s${"IC meas"}%10s${"IC paper"}%10s\n"
     for (w <- workers; p <- Seq("UNC", "CIC")) {
       val r = cyclicCell(p, w)

@@ -32,10 +32,13 @@ case object Resume                                         extends SimAction
   * window [base, base + [[EventQueue.WheelMicros]]), where `base` is the
   * latest time popped. Almost every event the simulator schedules lands a
   * few milliseconds ahead, so it enters and leaves the wheel in O(1). An
-  * event outside the window waits in an overflow [[EventHeap]]. Each slot
-  * is a FIFO linked through primitive arrays with a free list, and a bitmap
-  * of occupied slots finds the next one with `numberOfTrailingZeros`.
-  * Neither scheduling nor [[popAction]] allocates (beyond growing arrays).
+  * event outside the window waits in an overflow `PriorityQueue` ordered on
+  * (time, tick), where the tick numbers the queue's schedules in insertion
+  * order. Each slot is a FIFO linked through primitive arrays with a free
+  * list, and a bitmap of occupied slots finds the next one with
+  * `numberOfTrailingZeros`. Scheduling into the wheel and popping from it
+  * allocate nothing (beyond growing arrays); an overflow schedule
+  * allocates its queue entry.
   *
   * Why the pop order is exactly (time, insertion order):
   *  - the window spans one turn of the wheel, so a slot holds one time,
@@ -49,7 +52,7 @@ case object Resume                                         extends SimAction
 final class EventQueue {
   import EventQueue._
 
-  private val overflow = new EventHeap
+  private val overflow = new java.util.PriorityQueue[Far](EarlierFirst)
   /** First and last node of each slot's FIFO; `first` is -1 when empty. */
   private val first    = Array.fill(WheelMicros)(-1)
   private val last     = new Array[Int](WheelMicros)
@@ -81,7 +84,7 @@ final class EventQueue {
       inWheel += 1
     } else {
       overflowedCount += 1
-      overflow.schedule(time, action)
+      overflow.add(new Far(time, scheduledCount, action))
     }
   }
 
@@ -89,23 +92,24 @@ final class EventQueue {
   def isEmpty: Boolean  = size == 0
   def size: Int         = inWheel + overflow.size
 
-  /** Events scheduled so far, and how many of them went to the overflow heap. */
+  /** Events scheduled so far, and how many of them went to the overflow queue. */
   def scheduled: Long  = scheduledCount
   def overflowed: Long = overflowedCount
 
-  /** Time of the earliest event. */
+  /** Time of the earliest event; throws `NoSuchElementException` if there is none. */
   def peekTime: Long =
-    if (inWheel == 0) overflow.peekTime
-    else if (overflow.nonEmpty) math.min(wheelNext(), overflow.peekTime)
+    if (inWheel == 0) overflow.element().time
+    else if (!overflow.isEmpty) math.min(wheelNext(), overflow.peek().time)
     else wheelNext()
 
   /** Remove the earliest event and return its action; its time is what
     * [[peekTime]] returned before the call.
     */
   def popAction(): SimAction =
-    if (inWheel == 0 || (overflow.nonEmpty && overflow.peekTime <= wheelNext())) {
-      base = math.max(base, overflow.peekTime)
-      overflow.popAction()
+    if (inWheel == 0 || (!overflow.isEmpty && overflow.peek().time <= wheelNext())) {
+      val far = overflow.remove()
+      base = math.max(base, far.time)
+      far.action
     } else {
       val t = wheelNext()
       base = t
@@ -179,97 +183,18 @@ final class EventQueue {
 }
 
 object EventQueue {
-  /** Nodes (and overflow heap slots) allocated up front; arrays double when full. */
+  /** Wheel nodes allocated up front; the node arrays double when full. */
   val InitialCapacity: Int = 256
   /** Width of the timing wheel's window, in µs (one slot per µs). A power
     * of two; a 2^15 wheel was no faster and retained more heap.
     */
   val WheelMicros: Int = 8192
   private val SlotMask: Long = WheelMicros - 1L
-}
 
-/** The overflow of [[EventQueue]]: a binary min-heap over parallel arrays,
-  * keyed on the primitive pair (time, tick), where `tick` numbers its
-  * schedules in insertion order. Keys are unique, so the pop order is fully
-  * determined by them.
-  */
-private[dataflow] final class EventHeap {
-  private var times   = new Array[Long](EventQueue.InitialCapacity)
-  private var ticks   = new Array[Long](EventQueue.InitialCapacity)
-  private var actions = new Array[SimAction](EventQueue.InitialCapacity)
-  private var n = 0
-  private var lastTick = 0L
+  /** An event outside the wheel's window, and its schedule's number. */
+  private final class Far(val time: Long, val tick: Long, val action: SimAction)
 
-  def schedule(time: Long, action: SimAction): Unit = {
-    if (n == times.length) grow()
-    lastTick += 1
-    // Sift up. The new tick is the largest, so only strictly later parents
-    // move below it.
-    var i = n
-    n += 1
-    var parent = (i - 1) >>> 1
-    while (i > 0 && times(parent) > time) {
-      place(i, times(parent), ticks(parent), actions(parent))
-      i = parent
-      parent = (i - 1) >>> 1
-    }
-    place(i, time, lastTick, action)
-  }
-
-  def nonEmpty: Boolean = n > 0
-  def size: Int         = n
-
-  /** Time of the earliest event. */
-  def peekTime: Long = {
-    if (n == 0) throw new NoSuchElementException("empty event queue")
-    times(0)
-  }
-
-  /** Remove the earliest event and return its action. */
-  def popAction(): SimAction = {
-    if (n == 0) throw new NoSuchElementException("empty event queue")
-    val top = actions(0)
-    n -= 1
-    if (n > 0) siftDown(times(n), ticks(n), actions(n))
-    actions(n) = null
-    top
-  }
-
-  def clear(): Unit = {
-    java.util.Arrays.fill(actions.asInstanceOf[Array[AnyRef]], 0, n, null)
-    n = 0
-  }
-
-  /** Move the entry (t, k, a) down from the root to its place. */
-  private def siftDown(t: Long, k: Long, a: SimAction): Unit = {
-    var i = 0
-    var child = 1
-    while (child < n) {
-      val right = child + 1
-      if (right < n && before(times(right), ticks(right), times(child), ticks(child)))
-        child = right
-      if (before(times(child), ticks(child), t, k)) {
-        place(i, times(child), ticks(child), actions(child))
-        i = child
-        child = 2 * i + 1
-      } else child = n
-    }
-    place(i, t, k, a)
-  }
-
-  private def before(t1: Long, k1: Long, t2: Long, k2: Long): Boolean =
-    t1 < t2 || (t1 == t2 && k1 < k2)
-
-  private def place(i: Int, t: Long, k: Long, a: SimAction): Unit = {
-    times(i) = t; ticks(i) = k; actions(i) = a
-  }
-
-  private def grow(): Unit = {
-    val cap = 2 * times.length
-    times = java.util.Arrays.copyOf(times, cap)
-    ticks = java.util.Arrays.copyOf(ticks, cap)
-    val grown = new Array[SimAction](cap)
-    System.arraycopy(actions, 0, grown, 0, n)
-    actions = grown
-  }
+  private val EarlierFirst: java.util.Comparator[Far] = (a, b) =>
+    if (a.time != b.time) java.lang.Long.compare(a.time, b.time)
+    else java.lang.Long.compare(a.tick, b.tick)
 }

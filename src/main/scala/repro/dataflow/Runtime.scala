@@ -27,7 +27,7 @@ final class Runtime(
 
   val queue   = new EventQueue
   val store   = new StateStore(cfg.warmupMicros, cfg.endMicros)
-  val log     = new MessageLog
+  val log     = new MessageLog(graph.wiring)
   val metrics = new MetricsCollector
 
   private var clock: Long = 0L
@@ -52,9 +52,6 @@ final class Runtime(
     * part of the event sequence.
     */
   private val insts: Map[InstanceId, Instance] = nodes.iterator.map(i => i.id -> i).toMap
-
-  /** The message log of every out-channel, by dense index and out-index. */
-  private val outLogs: Array[Array[log.ChannelLog]] = nodes.map(_.outCh.map(log.channel).toArray)
 
   /** Source input columns of every instance, by dense index (empty for
     * non-sources).
@@ -243,7 +240,7 @@ final class Runtime(
       metrics.dataMessages += 1
       metrics.protoBytes += msg.piggybackBytes
     }
-    if (protocol.logsMessages) outLogs(inst.index)(k).append(msg)
+    if (protocol.logsMessages) log(inst.index, k).append(msg)
     transmit(inst, k, msg, newBusy)
     newBusy
   }
@@ -316,8 +313,8 @@ final class Runtime(
     metrics.restartMicros = plan.restartMicros
     metrics.recoveryLineAlgoMicros = plan.lineAlgoMicros
     metrics.invalidCounted = plan.invalidCounted
-    metrics.replayedMessages = plan.replay.valuesIterator.map(_.size.toLong).sum
-    metrics.replayedBytes = plan.replay.valuesIterator.flatten.map(_.wireBytes.toLong).sum
+    metrics.replayedMessages = plan.replay.iterator.map(_.msgs.size.toLong).sum
+    metrics.replayedBytes = plan.replay.iterator.flatMap(_.msgs).map(_.wireBytes.toLong).sum
     // Everything volatile dies: in-flight messages, timers, running uploads.
     queue.clear()
     insts.values.foreach(_.dropVolatile())
@@ -342,17 +339,13 @@ final class Runtime(
       // the sender re-sends every seq past its restored position.
       store.dropAfter(inst.id, meta.idx)
       if (protocol.logsMessages)
-        for (k <- inst.outCh.indices) log.truncateAfter(inst.outCh(k), inst.lastSent(k))
+        for (k <- inst.outCh.indices) log(inst.index, k).truncateAfter(inst.lastSent(k))
     }
-    // Re-deliver logged in-flight messages, per channel in seq order, ahead
-    // of any regenerated traffic (regeneration needs >= one service time).
-    plan.replay.toSeq.sortBy(_._1.toString).foreach { case (ch, msgs) =>
-      val to = wiring.index(ch.to)
-      val inIdx = nodes(to).inCh.indexOf(ch)
-      msgs.zipWithIndex.foreach { case (m, i) =>
-        queue.schedule(clock + 1 + i, Deliver(m, to, inIdx))
-      }
-    }
+    // Re-deliver logged in-flight messages, channel after channel in the
+    // plan's order, each in seq order, ahead of any regenerated traffic
+    // (regeneration needs >= one service time).
+    for (r <- plan.replay; i <- r.msgs.indices)
+      queue.schedule(clock + 1 + i, Deliver(r.msgs(i), r.to, r.inIdx))
     insts.values.foreach(inst => queue.schedule(clock + 1, inst.wake))
     protocol.afterResume(clock)
   }

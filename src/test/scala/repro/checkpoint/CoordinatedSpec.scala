@@ -2,6 +2,8 @@ package repro.checkpoint
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.SimTestKit
+import repro.core.{ExpConfig, Experiment}
+import repro.dataflow.SimConfig
 import repro.queries._
 
 /** COOR-specific behaviour: rounds, alignment, cycle refusal, recovery. */
@@ -75,5 +77,21 @@ class CoordinatedSpec extends AnyFunSuite {
     val (_, unc) = SimTestKit.run(Q3, "UNC", 3, rate = 100.0, horizonMicros = 10_000_000L)
     assert(coor.avgCheckpointMicros > 10 * unc.avgCheckpointMicros,
       s"COOR ${coor.avgCheckpointMicros} vs UNC ${unc.avgCheckpointMicros}")
+  }
+
+  test("freezing a run twice gives equal results when a round is open at its end") {
+    // Rounds start every 2.5 s. This run ends 3 ms after the one at 10 s
+    // started, before its uploads can be durable.
+    val sim = SimConfig(warmupMicros = 1_000_000L, runMicros = 9_003_000L, failAtMicros = None)
+    val cfg = ExpConfig(Q1, "COOR", 3, ratePerSec = 150.0, sim = sim)
+    val coor = new Coordinated
+    val rt = Experiment.runtime(cfg, coor)
+    assert(coor.openRoundMicros(sim.endMicros).contains(3_000L))
+    val first = Experiment.freeze(cfg, rt, coor)
+    assert(Experiment.freeze(cfg, rt, coor) == first)
+    // The open round counts once, censored at the end of the run.
+    val done = rt.metrics.roundDurationMicros
+    assert(done.nonEmpty)
+    assert(first.avgCheckpointMicros == (done.sum + 3_000L).toDouble / (done.size + 1))
   }
 }

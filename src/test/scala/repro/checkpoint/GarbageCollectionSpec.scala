@@ -43,9 +43,16 @@ class GarbageCollectionSpec extends AnyFunSuite {
           lo = tables.receivedOn(line(ch.to), ch)
           if lo < sent
         } yield ch -> ((lo + 1) to sent)
-        assert(plan.replay.view.mapValues(_.map(_.seq)).toMap ==
+        val byChannel = plan.replay.map(r => r.msgs.head.channel -> r).toMap
+        assert(byChannel.size == plan.replay.size)
+        assert(byChannel.view.mapValues(_.msgs.map(_.seq)).toMap ==
           ranges.toMap.view.mapValues(_.toSeq).toMap)
-        assert(plan.replay.forall { case (ch, ms) => ms.forall(_.channel == ch) })
+        val w = rt.graph.wiring
+        assert(byChannel.forall { case (ch, r) =>
+          r.msgs.forall(_.channel == ch) && w.inCh(r.to)(r.inIdx) == ch
+        })
+        assert(plan.replay.map(_.msgs.head.channel.toString) ==
+          plan.replay.map(_.msgs.head.channel.toString).sorted)
         assert(plan.restartMicros == Recovery.stateLoadMicros(rt, line) + plan.lineAlgoMicros +
           Recovery.replayPrepMicros(rt, plan.replay))
     }

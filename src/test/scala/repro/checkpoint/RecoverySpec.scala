@@ -78,4 +78,21 @@ class RecoverySpec extends AnyFunSuite {
     val post = rt.store.allMetas.count(m => m.takenAt > failAt && m.kind == LocalCkpt)
     assert(post > 0, "UNC timers must re-arm after recovery")
   }
+
+  test("the replay plan lists channels in name order, not the wiring's, at 12 workers") {
+    val (rt, res, history) = SimTestKit.recordedRun(Q3, "UNC", 12, rate = 600.0,
+      horizonMicros = 6_000_000L, failAt = Some(4_000_000L))
+    assert(res.eoViolations == 0 && res.unconsumed == 0)
+    val channels = history.lastPlan.get.replay.map(_.msgs.head.channel)
+    val names = channels.map(_.toString)
+    assert(names == names.sorted)
+    // By (sender, out-index) the order differs ("join[10]" sorts before
+    // "join[2]"), so the check above tells the two apart.
+    val w = rt.graph.wiring
+    val byIndex = channels.sortBy { ch =>
+      val i = w.index(ch.from)
+      (i, w.outCh(i).indexOf(ch))
+    }
+    assert(byIndex != channels, s"${channels.size} replayed channels")
+  }
 }

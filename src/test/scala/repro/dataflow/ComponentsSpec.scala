@@ -15,55 +15,63 @@ class ComponentsSpec extends AnyFunSuite {
   private def msg(seq: Long, bytes: Int = 10) =
     Msg(ab, seq, Data, seq, bytes, None, 0L)
 
+  /** a[0] and b[0] with a channel each way: a's out-channel 0 is `ab`. */
+  private val twoWay = Graph(
+    Seq(OperatorSpec("a", () => new repro.queries.PassThrough, stateful = false),
+      OperatorSpec("b", () => new repro.queries.PassThrough, stateful = false)),
+    Seq(Edge("a", "b", ForwardPart), Edge("b", "a", ForwardPart)), parallelism = 1)
+  private val (aIdx, bIdx) = (twoWay.wiring.index(a), twoWay.wiring.index(b))
+  assert(twoWay.wiring.outCh(aIdx) == Seq(ab))
+
   test("message log ranges are positional on contiguous seqs") {
-    val log = new MessageLog
-    val out = log.channel(ab)
+    val log = new MessageLog(twoWay.wiring)
+    val out = log(aIdx, 0)
     (1L to 10L).foreach(s => out.append(msg(s)))
-    assert(log.range(ab, 0, 10).map(_.seq) == (1L to 10L))
-    assert(log.range(ab, 3, 7).map(_.seq) == (4L to 7L))
-    assert(log.range(ab, 7, 3).isEmpty)
-    assert(log.range(ab, 10, 20).isEmpty)
-    assert(log.range(ChannelId(b, a), 0, 5).isEmpty)
+    assert(out.range(0, 10).map(_.seq) == (1L to 10L))
+    assert(out.range(3, 7).map(_.seq) == (4L to 7L))
+    assert(out.range(7, 3).isEmpty)
+    assert(out.range(10, 20).isEmpty)
+    assert(log(bIdx, 0).range(0, 5).isEmpty)
   }
 
   test("message log byte and message totals") {
-    val log = new MessageLog
-    val out = log.channel(ab)
+    val log = new MessageLog(twoWay.wiring)
+    val out = log(aIdx, 0)
     (1L to 5L).foreach(s => out.append(msg(s, 100)))
     assert(log.totalMessages == 5)
     assert(log.totalBytes == 5L * (Msg.FrameBytes + 100))
   }
 
   test("message log: collect, truncate and re-append keep ranges positional") {
-    val log = new MessageLog
-    val out = log.channel(ab)
+    val log = new MessageLog(twoWay.wiring)
+    val out = log(aIdx, 0)
     (1L to 10L).foreach(s => out.append(msg(s)))
-    log.collectThrough(ab, 4)
+    out.collectThrough(4)
     assert(log.heldMessages == 6)
-    assert(log.range(ab, 0, 10).map(_.seq) == (5L to 10L))
+    assert(out.range(0, 10).map(_.seq) == (5L to 10L))
     // A resumed sender restored to seq 7 re-sends 8.. with new payloads.
-    log.truncateAfter(ab, 7)
+    out.truncateAfter(7)
     assert(log.heldMessages == 3)
     (8L to 12L).foreach(s => out.append(msg(s, bytes = 20)))
-    val resent = log.range(ab, 7, 12)
+    val resent = out.range(7, 12)
     assert(resent.map(_.seq) == (8L to 12L))
     assert(resent.forall(_.payloadBytes == 20))
-    assert(log.range(ab, 4, 12).map(_.seq) == (5L to 12L))
+    assert(out.range(4, 12).map(_.seq) == (5L to 12L))
     assert(log.heldMessages == 8)
     // Ever-appended counters include the re-sent messages.
     assert(log.totalMessages == 15)
     assert(log.totalBytes == 10L * (Msg.FrameBytes + 10) + 5L * (Msg.FrameBytes + 20))
     // Collecting past the end or below the front is harmless.
-    log.collectThrough(ab, 2)
+    out.collectThrough(2)
     assert(log.heldMessages == 8)
-    log.collectThrough(ab, 99)
-    assert(log.heldMessages == 0 && log.range(ab, 0, 99).isEmpty)
+    out.collectThrough(99)
+    assert(log.heldMessages == 0 && out.range(0, 99).isEmpty)
     out.append(msg(13))
-    assert(log.range(ab, 12, 13).map(_.seq) == Seq(13L))
+    assert(out.range(12, 13).map(_.seq) == Seq(13L))
   }
 
   test("message log refuses a seq gap") {
-    val out = new MessageLog().channel(ab)
+    val out = new MessageLog(twoWay.wiring)(aIdx, 0)
     out.append(msg(1))
     intercept[IllegalArgumentException](out.append(msg(3)))
   }

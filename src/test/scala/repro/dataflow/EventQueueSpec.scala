@@ -69,7 +69,7 @@ class EventQueueSpec extends AnyFunSuite {
 
   /** Mostly schedules over few distinct times (many ties) and enough pops
     * to interleave. Half the scripts clear now and then; long scripts of
-    * the other half outgrow the heap's initial capacity.
+    * the other half outgrow the queue's initial capacity.
     */
   private val ops: Gen[List[Op]] = for {
     n      <- Gen.choose(0, 6 * EventQueue.InitialCapacity)
@@ -126,7 +126,7 @@ class EventQueueSpec extends AnyFunSuite {
   /** Schedule at `offset` from the latest time popped (the wheel's base). */
   private final case class At(offset: Long) extends HorizonOp
   /** Schedule again at the time of a pending event, preferring one that went
-    * to the overflow heap and that the window has reached since.
+    * to the overflow queue and that the window has reached since.
     */
   private final case class Again(k: Int) extends HorizonOp
 
@@ -202,7 +202,7 @@ class EventQueueSpec extends AnyFunSuite {
     assert(maxWheel > EventQueue.InitialCapacity, "no script outgrew the wheel's node pool")
     assert(maxBase > 3 * W, s"the window never moved past 3 turns (latest pop $maxBase)")
     assert(belowBase > 0, "no script scheduled below the latest pop")
-    assert(inBoth > 0, "no time was pending in the wheel and the overflow heap at once")
+    assert(inBoth > 0, "no time was pending in the wheel and the overflow queue at once")
     assert(scheduledAfterClear > 0, "no script scheduled after a clear")
   }
 
@@ -219,7 +219,7 @@ class EventQueueSpec extends AnyFunSuite {
       info(f"${query.name}/$protocol: ${q.overflowed} of ${q.scheduled} schedules overflowed " +
         f"(${100 * share}%.2f %%)")
       assert(share < 1.0 / 3, s"${query.name}/$protocol sends ${q.overflowed} of ${q.scheduled} " +
-        "schedules through the overflow heap")
+        "schedules through the overflow queue")
     }
   }
 
