@@ -35,8 +35,10 @@ final class Coordinated extends Protocol {
   private var activeRound: Option[Int] = None
   private var roundStart: Long = 0L
   private var nextRound: Int = 1
-  /** Instance -> idx of its durable checkpoint in the active round. */
-  private val durableInRound = mutable.Map.empty[InstanceId, Int]
+  /** Instance -> its durable checkpoint in the active round. */
+  private val durableInRound = mutable.Map.empty[InstanceId, CkptMeta]
+  /** The checkpoints of the newest complete round: the recovery line. */
+  private var lastLine: Option[Map[InstanceId, CkptMeta]] = None
   /** round -> (start, end) of completed rounds. */
   val completedRounds = mutable.Map.empty[Int, (Long, Long)]
 
@@ -67,7 +69,7 @@ final class Coordinated extends Protocol {
     val sources = rt.graph.ops.filter(_.isSource)
     for (op <- sources; i <- 0 until rt.graph.parallelism) {
       rt.addProtocolBytes(RpcBytes)
-      rt.scheduleTimer(now + rt.cfg.rpcLatencyMicros, "coor.trigger",
+      rt.scheduleTimer(now + SimConfig.RpcLatencyMicros, "coor.trigger",
         Some(InstanceId(op.name, i)), r.toLong)
     }
   }
@@ -105,11 +107,12 @@ final class Coordinated extends Protocol {
   def onDurable(meta: CkptMeta, now: Long): Unit = meta.kind match {
     case CoordinatedCkpt(r) if activeRound.contains(r) =>
       rt.addProtocolBytes(RpcBytes) // durable-ack to the coordinator
-      durableInRound(meta.id) = meta.idx
+      durableInRound(meta.id) = meta
       if (durableInRound.size == nInstances) {
         completedRounds(r) = (roundStart, now)
+        lastLine = Some(durableInRound.toMap)
         // Recovery never goes back past a complete round.
-        durableInRound.foreach { case (id, idx) => rt.store.collectBelow(id, idx, now) }
+        durableInRound.foreach { case (id, m) => rt.store.collectBelow(id, m.idx, now) }
         if (roundStart >= rt.cfg.warmupMicros && roundStart <= rt.cfg.endMicros)
           rt.metrics.roundDurationMicros += (now - roundStart)
         activeRound = None
@@ -141,21 +144,8 @@ final class Coordinated extends Protocol {
     * by `failTime` (round 0 = the initial checkpoints). No replay needed.
     */
   def plan(failTime: Long): RecoveryPlan = {
-    val all = rt.graph.instances
-    val usable = completedRounds.collect {
-      case (r, (_, end)) if end <= failTime => r
-    }
-    val line: Map[InstanceId, CkptMeta] = usable.maxOption match {
-      case Some(r) =>
-        all.map { id =>
-          val m = rt.store.durable(id, failTime)
-            .find(c => c.kind == CoordinatedCkpt(r))
-            .getOrElse(sys.error(s"round $r complete but checkpoint missing for $id"))
-          id -> m
-        }.toMap
-      case None =>
-        all.map(id => id -> rt.store.durable(id, failTime).head).toMap
-    }
+    val line = lastLine.getOrElse(
+      rt.graph.instances.map(id => id -> rt.store.durable(id, failTime).head).toMap)
     RecoveryPlan(line, IndexedSeq.empty, restartMicros = Recovery.stateLoadMicros(rt, line),
       invalidCounted = 0, lineAlgoMicros = 0L)
   }

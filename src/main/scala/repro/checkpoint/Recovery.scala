@@ -25,7 +25,7 @@ object Recovery {
     */
   def stateLoadMicros(rt: ProtocolRuntime, line: Map[InstanceId, CkptMeta]): Long = {
     val perWorker = line.groupBy(_._1.idx).map { case (_, metas) =>
-      metas.valuesIterator.map(m => rt.cfg.uploadMicros(m.stateBytes)).sum
+      metas.valuesIterator.map(m => SimConfig.uploadMicros(m.stateBytes)).sum
     }
     if (perWorker.isEmpty) 0L else perWorker.max
   }
@@ -36,7 +36,7 @@ object Recovery {
     val perWorker = replay.groupBy(r => ids(r.to).idx).map { case (_, chans) =>
       chans.iterator.map { r =>
         val bytes = r.msgs.iterator.map(_.wireBytes.toLong).sum
-        ReplayFetchBaseMicros + math.round(bytes / 1024.0 * rt.cfg.storeMicrosPerKb) +
+        ReplayFetchBaseMicros + math.round(bytes / 1024.0 * SimConfig.StoreMicrosPerKb) +
           ReplayPrepPerMsgMicros * r.msgs.size
       }.sum
     }

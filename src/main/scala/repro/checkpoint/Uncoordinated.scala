@@ -1,6 +1,7 @@
 package repro.checkpoint
 
 import repro.dataflow._
+import scala.util.Random
 
 /** Uncoordinated checkpointing (UNC, paper §III-B): every instance
   * snapshots on its own jittered timer, with no markers and no blocking.
@@ -43,13 +44,17 @@ class Uncoordinated extends Protocol {
     topology = LineTopology(r.graph)
   }
 
-  def onStart(): Unit = {
-    val rnd = new scala.util.Random(rt.cfg.seed ^ 0x5ca1ab1e)
+  def onStart(): Unit = armLocalTimers(new Random(SimConfig.Seed ^ 0x5ca1ab1e), 0L)
+
+  /** Arms every instance's first local timer after `start`, at a
+    * deterministic per-instance phase drawn from `rnd`, which spreads the
+    * checkpoints in time.
+    */
+  private def armLocalTimers(rnd: Random, start: Long): Unit = {
     val interval = rt.cfg.localIntervalMicros
-    // Deterministic per-instance phase jitter spreads checkpoints in time.
     rt.graph.instances.foreach { id =>
-      val phase = 1L + math.abs(rnd.nextLong()) % interval
-      rt.scheduleTimer(phase, "unc.local", Some(id), 0L)
+      val t = start + 1L + math.abs(rnd.nextLong()) % interval
+      if (t <= rt.endMicros) rt.scheduleTimer(t, "unc.local", Some(id), 0L)
     }
   }
 
@@ -83,15 +88,7 @@ class Uncoordinated extends Protocol {
     }
   }
 
-  def afterResume(now: Long): Unit = {
-    val interval = rt.cfg.localIntervalMicros
-    val rnd = new scala.util.Random(rt.cfg.seed ^ now)
-    rt.graph.instances.foreach { id =>
-      val phase = 1L + math.abs(rnd.nextLong()) % interval
-      val t = now + phase
-      if (t <= rt.endMicros) rt.scheduleTimer(t, "unc.local", Some(id), 0L)
-    }
-  }
+  def afterResume(now: Long): Unit = armLocalTimers(new Random(SimConfig.Seed ^ now), now)
 
   def plan(failTime: Long): RecoveryPlan = Recovery.planLogged(rt, topology, failTime)
 }

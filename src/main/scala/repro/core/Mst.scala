@@ -40,18 +40,19 @@ object Mst {
       rt.queuedMessagesAtEnd < 50L * parallelism
   }
 
-  /** Bisect the sustainable rate; returns events/s. Every call searches:
-    * callers that need a rate more than once keep it.
+  /** Bisect the sustainable rate of the uniform workload; returns
+    * events/s. Every call searches: callers that need a rate more than once
+    * keep it.
     */
-  def find(q: QueryDef, proto: String, parallelism: Int, hotRatio: Double = 0.0): Double = {
+  def find(q: QueryDef, proto: String, parallelism: Int): Double = {
     val cap = analyticCap(q, parallelism) * 1.3
     var lo = cap / 40.0
     var hi = cap
-    if (!stable(q, proto, parallelism, lo, hotRatio)) lo = cap / 200.0
+    if (!stable(q, proto, parallelism, lo, 0.0)) lo = cap / 200.0
     var it = 0
     while (it < 6) {
       val mid = (lo + hi) / 2.0
-      if (stable(q, proto, parallelism, mid, hotRatio)) lo = mid else hi = mid
+      if (stable(q, proto, parallelism, mid, 0.0)) lo = mid else hi = mid
       it += 1
     }
     lo

@@ -28,12 +28,15 @@ object Tables {
   /** Fraction of MST used for the uniform NexMark experiments (paper: 80 %). */
   val MstFraction = 0.8
 
+  /** Keyed on the query value, so two configurations of one query (say
+    * two `Q12(slackMicros)`) get cells of their own.
+    */
   private val sweepCache =
-    scala.collection.mutable.Map.empty[(String, String, Int), ExpResult]
+    scala.collection.mutable.Map.empty[(QueryDef, String, Int), ExpResult]
 
   /** One uniform-workload NexMark cell at 80 % of that cell's own MST. */
   def nexmarkCell(q: QueryDef, proto: String, workers: Int): ExpResult =
-    sweepCache.getOrElseUpdate((q.name, proto, workers), {
+    sweepCache.getOrElseUpdate((q, proto, workers), {
       val rate = MstFraction * Mst.find(q, proto, workers)
       Experiment.run(ExpConfig(q, proto, workers, rate, sim = nexmarkSim))._2
     })

@@ -13,7 +13,7 @@ import scala.collection.mutable
   * All scheduling is virtual-time (microseconds) and fully deterministic
   * in (graph, input, config, protocol): ties in the event queue break by
   * insertion order, channels are FIFO, and every jittered decision is
-  * seeded from `cfg.seed`.
+  * seeded from `SimConfig.Seed`.
   */
 final class Runtime(
     val graph: Graph,
@@ -177,7 +177,7 @@ final class Runtime(
           if (msg.seq != inst.lastReceived(k) + 1) metrics.eoViolations += 1
           inst.lastReceived(k) = msg.seq
           applyRecord(inst, msg.value, msg.channel.from.op, msg.srcTs, start,
-            extraCost = cfg.serdeMicros(msg.wireBytes))
+            extraCost = SimConfig.serdeMicros(msg.wireBytes))
         }
     }
     queue.schedule(inst.busyUntil, inst.wake)
@@ -234,7 +234,7 @@ final class Runtime(
     inst.lastSent(k) = seq
     val piggy = protocol.piggybackFor(inst.id, ch, at)
     val msg = Msg(ch, seq, Data, value, Sizer.bytes(value), piggy, srcTs)
-    val newBusy = at + cfg.serdeMicros(msg.wireBytes)
+    val newBusy = at + SimConfig.serdeMicros(msg.wireBytes)
     if (at >= cfg.warmupMicros && at <= cfg.endMicros) {
       metrics.dataBytes += Msg.FrameBytes + msg.payloadBytes
       metrics.dataMessages += 1
@@ -247,7 +247,7 @@ final class Runtime(
 
   /** Put `msg` on out-channel `k` of `inst` at `departure`. */
   private def transmit(inst: Instance, k: Int, msg: Msg, departure: Long): Unit =
-    queue.schedule(departure + cfg.netLatencyMicros,
+    queue.schedule(departure + SimConfig.NetLatencyMicros,
       Deliver(msg, wiring.peer(inst.index)(k), wiring.peerIn(inst.index)(k)))
 
   // ---------------------------------------------------------- checkpoints
@@ -271,10 +271,10 @@ final class Runtime(
     */
   private def performCheckpoint(inst: Instance, kind: CkptKind): Unit = {
     val bytes = inst.stateBytes + protocol.ckptExtraBytes(inst)
-    val sync = cfg.snapshotMicros(bytes)
+    val sync = SimConfig.snapshotMicros(bytes)
     val startAt = math.max(clock, inst.busyUntil)
     val takenAt = startAt + sync
-    val durableAt = takenAt + cfg.uploadMicros(bytes)
+    val durableAt = takenAt + SimConfig.uploadMicros(bytes)
     val meta = CkptMeta(inst.id, inst.nextCkptIdx, kind, takenAt, durableAt, bytes,
       inst.logic.snapshot(), copy(inst.lastSent), copy(inst.lastReceived), inst.srcOffset,
       counted = inst.spec.counted, syncMicros = sync)
@@ -320,7 +320,7 @@ final class Runtime(
     insts.values.foreach(_.dropVolatile())
     failed = true
     pendingPlan = Some(plan)
-    queue.schedule(failTime + cfg.detectMicros + plan.restartMicros, Resume)
+    queue.schedule(failTime + SimConfig.DetectMicros + plan.restartMicros, Resume)
     metrics.lastLaggedAt = math.max(metrics.lastLaggedAt, failTime)
   }
 

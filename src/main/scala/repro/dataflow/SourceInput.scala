@@ -43,11 +43,10 @@ object SourceInput {
   private val NoTimes  = Array.emptyLongArray
   private val NoValues = Array.empty[Any]
 
-  /** Round-robin split of one logical stream across `parallelism` instances
-    * of source operator `op`: event `n` goes to instance `n % parallelism`.
-    * Each instance's columns start at its share of `expected` events, grow
-    * if more arrive and are trimmed to their fill by [[result]], so no
-    * column outlives the build larger than its events.
+  /** Round-robin split of one logical stream of exactly `expected` events
+    * across `parallelism` instances of source operator `op`: event `n` goes
+    * to instance `n % parallelism`. Each instance's columns are allocated
+    * once, at its share of the events.
     */
   final class RoundRobin(op: String, parallelism: Int, expected: Long) {
     require(parallelism > 0, "parallelism must be positive")
@@ -62,31 +61,24 @@ object SourceInput {
     private def share(i: Int): Int =
       math.max(0L, (expected - i + parallelism - 1) / parallelism).toInt
 
-    private def resize(i: Int, n: Int): Unit = {
-      times(i) = java.util.Arrays.copyOf(times(i), n)
-      values(i) = java.util.Arrays.copyOf(values(i).asInstanceOf[Array[AnyRef]], n)
-        .asInstanceOf[Array[Any]]
-    }
-
     def add(ts: Long, value: Any): Unit = {
       val i = next
       val k = fill(i)
-      if (k == times(i).length) resize(i, math.max(16, k * 2))
+      require(k < times(i).length, s"more than the $expected expected source events")
       times(i)(k) = ts
       values(i)(k) = value
       fill(i) = k + 1
       next = if (i + 1 == parallelism) 0 else i + 1
     }
 
-    /** The input, with every column trimmed to its fill and checked sorted. */
+    /** The input, with every column checked full and sorted. */
     def result(): SourceInput = {
       var i = 0
       while (i < parallelism) {
-        val n = fill(i)
-        if (n != times(i).length) resize(i, n)
         val t = times(i)
+        require(fill(i) == t.length, s"fewer than the $expected expected source events")
         var k = 1
-        while (k < n) {
+        while (k < t.length) {
           require(t(k - 1) <= t(k), "source events must be sorted by ts")
           k += 1
         }

@@ -22,9 +22,6 @@ final case class NexmarkConfig(
     nHot: Int = 2,
     seed: Long = 7L,
     include: Set[String] = Set("person", "auction", "bid"),
-    personShare: Int = 1,
-    auctionShare: Int = 3,
-    bidShare: Int = 46,
 )
 
 /** Deterministic NexMark-lite event stream generator (the paper extends
@@ -68,6 +65,10 @@ object NexmarkGen {
   private final val Person = 0
   private final val Auction = 1
   private final val Bid = 2
+  // Their shares of the cycle: NexMark's 1 : 3 : 46.
+  private final val PersonShare = 1
+  private final val AuctionShare = 3
+  private final val BidShare = 46
 
   /** Generate the stream in timestamp order, handing each event to `emit`. */
   private def generate(cfg: NexmarkConfig)(emit: NxEvent => Unit): Unit = {
@@ -81,9 +82,9 @@ object NexmarkGen {
 
     val cycle: Array[Int] = {
       val pat = mutable.ArrayBuffer.empty[Int]
-      if (hasPerson)  pat ++= Seq.fill(cfg.personShare)(Person)
-      if (hasAuction) pat ++= Seq.fill(cfg.auctionShare)(Auction)
-      if (hasBid)     pat ++= Seq.fill(cfg.bidShare)(Bid)
+      if (hasPerson)  pat ++= Seq.fill(PersonShare)(Person)
+      if (hasAuction) pat ++= Seq.fill(AuctionShare)(Auction)
+      if (hasBid)     pat ++= Seq.fill(BidShare)(Bid)
       require(pat.nonEmpty, "at least one event class must be included")
       // Spread classes through the cycle deterministically.
       new Random(cfg.seed ^ 0xbeef).shuffle(pat.toIndexedSeq).toArray
@@ -100,9 +101,9 @@ object NexmarkGen {
     // universe that grows at the full 1:3:46 stream's proportions — the
     // references then have the same key distribution as in a full stream.
     val includedShare =
-      (if (hasPerson) cfg.personShare else 0) +
-        (if (hasAuction) cfg.auctionShare else 0) +
-        (if (hasBid) cfg.bidShare else 0)
+      (if (hasPerson) PersonShare else 0) +
+        (if (hasAuction) AuctionShare else 0) +
+        (if (hasBid) BidShare else 0)
     var i = 0L
     def virtUniverse(share: Int): Long =
       math.max(cfg.nHot.toLong, 1L + i * share / math.max(1, includedShare))
@@ -113,7 +114,7 @@ object NexmarkGen {
       else if (hasPerson) {
         if (nextPerson == 1L) nextPerson = 2L
         1L + rnd.nextInt((nextPerson - 1L).toInt)
-      } else 1L + rnd.nextLong(virtUniverse(cfg.personShare))
+      } else 1L + rnd.nextLong(virtUniverse(PersonShare))
 
     def someAuction(): Long =
       if (hot && rnd.nextDouble() < cfg.hotRatio)
@@ -121,7 +122,7 @@ object NexmarkGen {
       else if (hasAuction) {
         if (nextAuction == 1L) nextAuction = 2L
         1L + rnd.nextInt((nextAuction - 1L).toInt)
-      } else 1L + rnd.nextLong(virtUniverse(cfg.auctionShare))
+      } else 1L + rnd.nextLong(virtUniverse(AuctionShare))
 
     var c = 0
     while (i < total) {

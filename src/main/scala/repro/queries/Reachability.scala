@@ -109,10 +109,6 @@ final case class ReachConfig(
     pDelLink: Double = 0.20,
     pDelSource: Double = 0.05,
     seed: Long = 11L,
-    /** Hard bound on path length (FFP-style progress bound); keeps the
-      * recursive amplification finite on dense temporal graphs.
-      */
-    maxPathLen: Int = 24,
 )
 
 /** The cyclic reachability query: src -> join -> select -> project with a
@@ -130,7 +126,7 @@ final case class Reachability(cfg0: ReachConfig) extends QueryDef {
         serviceMicros = 1500L),
       OperatorSpec("join",    () => new ReachJoinLogic, stateful = true, serviceMicros = 3000L),
       OperatorSpec("select",  () => new FilterMap({
-        case p: Pair if !p.fact.path.contains(p.v) && p.fact.path.length < cfg0.maxPathLen =>
+        case p: Pair if !p.fact.path.contains(p.v) && p.fact.path.length < Reachability.MaxPathLen =>
           Some(p)
         case _ => None
       }), stateful = false, serviceMicros = 800L),
@@ -217,17 +213,21 @@ final case class Reachability(cfg0: ReachConfig) extends QueryDef {
 object Reachability {
   import Reach._
 
-  /** Delete-free reference: every simple path from a live origin over the
-    * final link set (depth-capped for tests). Returns the SourceFact set
-    * the join should converge to.
+  /** Hard bound on path length (FFP-style progress bound); keeps the
+    * recursive amplification finite on dense temporal graphs.
     */
-  def fixpoint(links: Set[(Long, Long)], origins: Map[Long, Long],
-      maxDepth: Int = 24): Set[SourceFact] = {
+  val MaxPathLen = 24
+
+  /** Delete-free reference: every simple path from a live origin over the
+    * final link set, up to [[MaxPathLen]] nodes. Returns the SourceFact
+    * set the join should converge to.
+    */
+  def fixpoint(links: Set[(Long, Long)], origins: Map[Long, Long]): Set[SourceFact] = {
     val adj = links.groupBy(_._1).view.mapValues(_.map(_._2)).toMap
     val out = mutable.Set.empty[SourceFact]
     def dfs(id: Long, node: Long, path: Vector[Long]): Unit = {
       out += SourceFact(id, node, path)
-      if (path.length < maxDepth)
+      if (path.length < MaxPathLen)
         adj.getOrElse(node, Set.empty).foreach { v =>
           if (!path.contains(v)) dfs(id, v, path :+ v)
         }

@@ -142,35 +142,24 @@ class ComponentsSpec extends AnyFunSuite {
     assert(ok.result().times(InstanceId("src", 0)).toSeq == Seq(5L, 6L))
   }
 
-  test("source input columns grow past their expected size, in order") {
-    val in = roundRobin(3, expected = 4, n = 1000)
-    assert(in.totalEvents == 1000)
-    (0 until 3).foreach { i =>
-      val id = InstanceId("src", i)
-      val want = (i until 1000 by 3).toSeq
-      assert(in.values(id).toSeq == want)
-      assert(in.times(id).toSeq == want.map(_ * 100L))
-    }
-    assert(in.horizon == 99900L)
-  }
-
-  test("source input columns are trimmed to their fill") {
-    // Fewer events than expected, and none at all for instance 3.
-    val in = roundRobin(4, expected = 100, n = 7)
-    assert((0 until 4).map(i => in.times(InstanceId("src", i)).length) == Seq(2, 2, 2, 1))
-    assert((0 until 4).map(i => in.values(InstanceId("src", i)).length) == Seq(2, 2, 2, 1))
-    val none = roundRobin(2, expected = 10, n = 0)
+  test("source input refuses more or fewer events than expected") {
+    intercept[IllegalArgumentException](roundRobin(3, expected = 4, n = 5))
+    intercept[IllegalArgumentException](roundRobin(3, expected = 10, n = 7))
+    // Three events over four instances leave instance 3 with none.
+    val in = roundRobin(4, expected = 3, n = 3)
+    assert((0 until 4).map(i => in.times(InstanceId("src", i)).length) == Seq(1, 1, 1, 0))
+    assert(in.values(InstanceId("src", 3)).isEmpty && in.horizon == 200L)
+    val none = roundRobin(2, expected = 0, n = 0)
     assert(none.totalEvents == 0 && none.horizon == 0L)
-    assert(none.times(InstanceId("src", 1)).isEmpty && none.values(InstanceId("src", 1)).isEmpty)
   }
 
   test("cost model: serde, upload and snapshot scale with bytes") {
-    val c = SimConfig()
-    assert(c.serdeMicros(0) == 0)
-    assert(c.serdeMicros(2048) == math.round(2 * c.serdeMicrosPerKb))
-    assert(c.uploadMicros(0) == c.storePutMicros)
-    assert(c.uploadMicros(1024 * 100) > c.uploadMicros(1024))
-    assert(c.snapshotMicros(1024) > c.snapshotBaseMicros)
+    import SimConfig._
+    assert(serdeMicros(0) == 0 && serdeMicros(2048) == 40)
+    assert(uploadMicros(0) == 4000 && uploadMicros(1024 * 100) == 4500)
+    assert(snapshotMicros(0) == 10 && snapshotMicros(1024) == 12)
+    assert(NetLatencyMicros == 500 && RpcLatencyMicros == 1000 && DetectMicros == 1_000_000)
+    assert(Seed == 42)
   }
 
   test("sim config end/fail instants compose warmup and run") {
