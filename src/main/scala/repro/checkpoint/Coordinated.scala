@@ -37,14 +37,23 @@ final class Coordinated extends Protocol {
   private var nextRound: Int = 1
   /** Instance -> its durable checkpoint in the active round. */
   private val durableInRound = mutable.Map.empty[InstanceId, CkptMeta]
-  /** The checkpoints of the newest complete round: the recovery line. */
-  private var lastLine: Option[Map[InstanceId, CkptMeta]] = None
+  /** The checkpoints of the newest complete round, or the initial ones: the recovery line. */
+  private var lastLine: Map[InstanceId, CkptMeta] = _
+  /** Per instance, by its dense index: the round it is aligning (0 = none;
+    * rounds start at 1) and when that round's first marker arrived.
+    */
+  private var aligning: Array[Int] = _
+  private var alignStart: Array[Long] = _
   /** round -> (start, end) of completed rounds. */
   val completedRounds = mutable.Map.empty[Int, (Long, Long)]
 
   def init(r: ProtocolRuntime): Unit = {
     rt = r
-    nInstances = r.graph.instances.size
+    val ids = r.graph.wiring.instances
+    nInstances = ids.size
+    lastLine = ids.iterator.map(id => id -> r.store.durable(id, 0L).head).toMap
+    aligning = new Array[Int](nInstances)
+    alignStart = new Array[Long](nInstances)
   }
 
   def onStart(): Unit =
@@ -79,23 +88,19 @@ final class Coordinated extends Protocol {
   def beforeApply(inst: Instance, msg: Msg, now: Long): Boolean = false
 
   def onMarker(inst: Instance, channel: ChannelId, round: Int, now: Long): Unit = {
-    inst.aligningRound match {
-      case None =>
-        inst.aligningRound = Some(round)
-        inst.alignStart = now
-      case Some(r) =>
-        require(r == round, s"marker for round $round while aligning round $r at ${inst.id}")
-    }
-    inst.block(channel)
+    val i = inst.index
+    if (aligning(i) == 0) {
+      aligning(i) = round
+      alignStart(i) = now
+    } else require(aligning(i) == round,
+      s"marker for round $round while aligning round ${aligning(i)} at ${inst.id}")
     if (inst.allInputsBlocked) {
       // Alignment complete: snapshot, forward markers, unblock.
-      val alignDur = now - inst.alignStart
-      if (now >= rt.cfg.warmupMicros && now <= rt.cfg.endMicros)
-        rt.metrics.alignMicros += alignDur
+      if (rt.cfg.inWindow(now)) rt.metrics.alignMicros += now - alignStart(i)
       rt.checkpointNow(inst.id, CoordinatedCkpt(round))
       rt.sendMarkers(inst.id, round)
       inst.unblockAll()
-      inst.aligningRound = None
+      aligning(i) = 0
     }
   }
 
@@ -110,15 +115,14 @@ final class Coordinated extends Protocol {
       durableInRound(meta.id) = meta
       if (durableInRound.size == nInstances) {
         completedRounds(r) = (roundStart, now)
-        lastLine = Some(durableInRound.toMap)
+        lastLine = durableInRound.toMap
         // Recovery never goes back past a complete round.
         durableInRound.foreach { case (id, m) => rt.store.collectBelow(id, m.idx, now) }
-        if (roundStart >= rt.cfg.warmupMicros && roundStart <= rt.cfg.endMicros)
-          rt.metrics.roundDurationMicros += (now - roundStart)
+        if (rt.cfg.inWindow(roundStart)) rt.metrics.roundDurationMicros += now - roundStart
         activeRound = None
         val interval = rt.cfg.coorIntervalMicros
         val next = math.max(now + 1, ((now / interval) + 1) * interval)
-        if (next <= rt.endMicros) rt.scheduleTimer(next, "coor.round", None, 0L)
+        rt.scheduleTimer(next, "coor.round", None, 0L)
       }
     case _ => ()
   }
@@ -136,17 +140,14 @@ final class Coordinated extends Protocol {
   def afterResume(now: Long): Unit = {
     activeRound = None
     durableInRound.clear()
-    val next = now + rt.cfg.coorIntervalMicros
-    if (next <= rt.endMicros) rt.scheduleTimer(next, "coor.round", None, 0L)
+    java.util.Arrays.fill(aligning, 0)
+    rt.scheduleTimer(now + rt.cfg.coorIntervalMicros, "coor.round", None, 0L)
   }
 
   /** Recover from the most recent round that was complete and fully durable
     * by `failTime` (round 0 = the initial checkpoints). No replay needed.
     */
-  def plan(failTime: Long): RecoveryPlan = {
-    val line = lastLine.getOrElse(
-      rt.graph.instances.map(id => id -> rt.store.durable(id, failTime).head).toMap)
-    RecoveryPlan(line, IndexedSeq.empty, restartMicros = Recovery.stateLoadMicros(rt, line),
+  def plan(failTime: Long): RecoveryPlan =
+    RecoveryPlan(lastLine, IndexedSeq.empty, restartMicros = Recovery.stateLoadMicros(rt, lastLine),
       invalidCounted = 0, lineAlgoMicros = 0L)
-  }
 }

@@ -74,7 +74,7 @@ trait Protocol {
     * checkpoint first (CIC Z-cycle prevention).
     */
   def beforeApply(inst: Instance, msg: Msg, now: Long): Boolean
-  /** A COOR marker was dequeued at `inst` from `channel`. */
+  /** A COOR marker was dequeued at `inst` from `channel`, which the runtime has blocked. */
   def onMarker(inst: Instance, channel: ChannelId, round: Int, now: Long): Unit
   /** A checkpoint's synchronous snapshot completed. */
   def onCheckpoint(inst: Instance, meta: CkptMeta, now: Long): Unit
@@ -90,6 +90,10 @@ trait Protocol {
 
 /** The slice of the runtime that protocols are allowed to touch — keeps the
   * protocol <-> engine contract explicit and testable.
+  *
+  * The runtime pops no event past `cfg.endMicros`, so a timer scheduled
+  * past the end simply never fires. A protocol that writes `metrics` tests
+  * `cfg.inWindow` on the instant it measures.
   */
 trait ProtocolRuntime {
   def graph: Graph
@@ -97,7 +101,6 @@ trait ProtocolRuntime {
   def store: StateStore
   def log: MessageLog
   def metrics: repro.metrics.MetricsCollector
-  def now: Long
   /** Schedule a ProtocolTimer event. */
   def scheduleTimer(time: Long, tag: String, inst: Option[InstanceId], payload: Long): Unit
   /** Request a checkpoint of `inst`: taken immediately if idle, else at the
@@ -110,6 +113,4 @@ trait ProtocolRuntime {
   def sendMarkers(id: InstanceId, round: Int): Unit
   /** Account control-plane protocol bytes (RPCs, checkpoint metadata). */
   def addProtocolBytes(bytes: Long): Unit
-  /** Virtual end of the run — timers must not fire past this. */
-  def endMicros: Long
 }

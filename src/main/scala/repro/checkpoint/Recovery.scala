@@ -13,13 +13,6 @@ import scala.collection.mutable
   */
 object Recovery {
 
-  /** Per-channel fetch handshake with the log store. */
-  private val ReplayFetchBaseMicros = 500L
-  /** Per-message preparation (deserialize, re-enqueue). */
-  private val ReplayPrepPerMsgMicros = 3L
-  /** Modelled cost per checkpoint-graph node of the recovery-line search. */
-  val LineAlgoPerNodeMicros = 1L
-
   /** Workers reload their instances' states sequentially; workers are
     * parallel, so restart is the max across workers.
     */
@@ -34,11 +27,8 @@ object Recovery {
   def replayPrepMicros(rt: ProtocolRuntime, replay: IndexedSeq[ChannelReplay]): Long = {
     val ids = rt.graph.wiring.instances
     val perWorker = replay.groupBy(r => ids(r.to).idx).map { case (_, chans) =>
-      chans.iterator.map { r =>
-        val bytes = r.msgs.iterator.map(_.wireBytes.toLong).sum
-        ReplayFetchBaseMicros + math.round(bytes / 1024.0 * SimConfig.StoreMicrosPerKb) +
-          ReplayPrepPerMsgMicros * r.msgs.size
-      }.sum
+      chans.iterator.map(r =>
+        SimConfig.replayMicros(r.msgs.iterator.map(_.wireBytes.toLong).sum, r.msgs.size)).sum
     }
     if (perWorker.isEmpty) 0L else perWorker.max
   }
@@ -117,7 +107,7 @@ object Recovery {
     // The modelled search runs over the whole checkpoint graph, so the
     // checkpoints collected before the failure are charged too.
     val nNodes = rt.store.collectedDurable + lists.iterator.map(_.size).sum
-    val lineAlgo = LineAlgoPerNodeMicros * nNodes
+    val lineAlgo = SimConfig.LineAlgoPerNodeMicros * nNodes
     val lineById = topo.ids.zip(line).toMap
     val restart = stateLoadMicros(rt, lineById) + lineAlgo + replayPrepMicros(rt, replay)
     RecoveryPlan(lineById, replay, restart, invalid, lineAlgo)

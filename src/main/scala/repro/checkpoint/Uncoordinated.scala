@@ -53,8 +53,7 @@ class Uncoordinated extends Protocol {
   private def armLocalTimers(rnd: Random, start: Long): Unit = {
     val interval = rt.cfg.localIntervalMicros
     rt.graph.instances.foreach { id =>
-      val t = start + 1L + math.abs(rnd.nextLong()) % interval
-      if (t <= rt.endMicros) rt.scheduleTimer(t, "unc.local", Some(id), 0L)
+      rt.scheduleTimer(start + 1L + math.abs(rnd.nextLong()) % interval, "unc.local", Some(id), 0L)
     }
   }
 
@@ -62,8 +61,7 @@ class Uncoordinated extends Protocol {
     case "unc.local" =>
       val id = inst.getOrElse(sys.error("local timer without instance"))
       rt.requestCheckpoint(id, LocalCkpt)
-      val next = now + rt.cfg.localIntervalMicros
-      if (next <= rt.endMicros) rt.scheduleTimer(next, "unc.local", Some(id), 0L)
+      rt.scheduleTimer(now + rt.cfg.localIntervalMicros, "unc.local", Some(id), 0L)
     case other => sys.error(s"unexpected timer $other")
   }
 

@@ -101,7 +101,7 @@ object Experiment {
     }
     ExpResult(cfg,
       dataBytes = m.dataBytes, protoBytes = m.protoBytes,
-      totalCounted = rt.store.counted, forcedCounted = rt.store.forcedCounted,
+      totalCounted = m.countedCkpts, forcedCounted = m.forcedCkpts,
       invalidCounted = m.invalidCounted.toLong, avgCheckpointMicros = avgCkpt,
       restartMicros = m.restartMicros,
       p50Micros = pct(0.50), p99Micros = pct(0.99),

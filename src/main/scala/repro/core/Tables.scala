@@ -27,33 +27,34 @@ object Tables {
 
   /** Fraction of MST used for the uniform NexMark experiments (paper: 80 %). */
   val MstFraction = 0.8
+  /** Fraction of MST used for the cyclic query (paper §VII: 75–80 %). */
+  private val CyclicMstFraction = 0.78
+  /** The cyclic query, on a graph of 500 000 vertices. */
+  private val CyclicQuery =
+    Reachability(ReachConfig(nNodes = 500_000L, ratePerSec = 0, durationMicros = 0))
 
   /** Keyed on the query value, so two configurations of one query (say
     * two `Q12(slackMicros)`) get cells of their own.
     */
-  private val sweepCache =
-    scala.collection.mutable.Map.empty[(QueryDef, String, Int), ExpResult]
+  private val cells = scala.collection.mutable.Map.empty[(QueryDef, String, Int), ExpResult]
 
-  /** One uniform-workload NexMark cell at 80 % of that cell's own MST. */
+  /** The cell of `q` under `proto` at `workers`, run under `sim` at
+    * `fraction` of that cell's own MST, memoized.
+    */
+  private def cell(q: QueryDef, proto: String, workers: Int, fraction: Double, sim: SimConfig)
+      : ExpResult =
+    cells.getOrElseUpdate((q, proto, workers), {
+      val rate = fraction * Mst.find(q, proto, workers)
+      Experiment.run(ExpConfig(q, proto, workers, rate, sim = sim))._2
+    })
+
+  /** One uniform-workload NexMark cell. */
   def nexmarkCell(q: QueryDef, proto: String, workers: Int): ExpResult =
-    sweepCache.getOrElseUpdate((q, proto, workers), {
-      val rate = MstFraction * Mst.find(q, proto, workers)
-      Experiment.run(ExpConfig(q, proto, workers, rate, sim = nexmarkSim))._2
-    })
+    cell(q, proto, workers, MstFraction, nexmarkSim)
 
-  private val cyclicCache =
-    scala.collection.mutable.Map.empty[(String, Int), ExpResult]
-
-  /** Vertices of the cyclic query's graph. */
-  private val CyclicNodes = 500_000L
-
-  /** One cyclic-query cell at 75–80 % of MST (paper §VII). */
+  /** One cyclic-query cell. */
   def cyclicCell(proto: String, workers: Int): ExpResult =
-    cyclicCache.getOrElseUpdate((proto, workers), {
-      val q = Reachability(ReachConfig(nNodes = CyclicNodes, ratePerSec = 0, durationMicros = 0))
-      val rate = 0.78 * Mst.find(q, proto, workers)
-      Experiment.run(ExpConfig(q, proto, workers, rate, sim = cyclicSim))._2
-    })
+    cell(CyclicQuery, proto, workers, CyclicMstFraction, cyclicSim)
 
   // ------------------------------------------------------- paper reference
 

@@ -1,6 +1,6 @@
 package repro.dataflow
 
-import repro.checkpoint.CkptMeta
+import repro.checkpoint.{CkptMeta, RecoveryPlan}
 
 /** Actions processed by the discrete-event engine. */
 sealed trait SimAction
@@ -22,8 +22,8 @@ final case class ProtocolTimer(tag: String, inst: Option[InstanceId], payload: L
 final case class UploadDone(meta: CkptMeta)                extends SimAction
 /** Inject the configured global failure. */
 case object InjectFailure                                  extends SimAction
-/** Recovery finished; restore state and resume processing. */
-case object Resume                                         extends SimAction
+/** Recovery finished; restore `plan`'s line and resume processing. */
+final case class Resume(plan: RecoveryPlan)                extends SimAction
 
 /** Deterministic virtual-time event queue: events pop in (time, insertion
   * order) — ties never depend on hash order, so runs are bit-reproducible.

@@ -99,20 +99,12 @@ final class Instance(
     */
   private val blocked = new Array[Boolean](inCh.size)
   private var blockedCount = 0
-  /** COOR: round currently being aligned, if any. */
-  var aligningRound: Option[Int] = None
-  /** COOR alignment bookkeeping: when the first marker of the round arrived. */
-  var alignStart: Long = 0L
 
   def isIdleAt(t: Long): Boolean = busyUntil <= t
 
-  /** Block input channel `ch`. A linear scan finds it: markers come a few
-    * per channel per round.
-    */
-  def block(ch: ChannelId): Unit = {
-    val k = inCh.indexOf(ch)
+  /** Block input channel `k` (its index in `inCh`): [[nextChannel]] skips it. */
+  def block(k: Int): Unit =
     if (!blocked(k)) { blocked(k) = true; blockedCount += 1 }
-  }
 
   /** Whether the current round's marker has arrived on every input channel. */
   def allInputsBlocked: Boolean = blockedCount == inCh.size
@@ -147,7 +139,6 @@ final class Instance(
   def dropVolatile(): Unit = {
     inbox.foreach(_.clear())
     unblockAll()
-    aligningRound = None
     pendingCkpt = None
     busyUntil = 0L
   }

@@ -26,17 +26,14 @@ final class Runtime(
     s"${protocol.name} cannot run on a cyclic dataflow graph (marker deadlock)")
 
   val queue   = new EventQueue
-  val store   = new StateStore(cfg.warmupMicros, cfg.endMicros)
+  val store   = new StateStore
   val log     = new MessageLog(graph.wiring)
   val metrics = new MetricsCollector
 
   private var clock: Long = 0L
-  def now: Long = clock
-  def endMicros: Long = cfg.endMicros
 
   /** Source-lag threshold beyond which the system counts as "not recovered". */
   private val LagThresholdMicros = 300_000L
-  private val MarkerCostMicros   = 5L
 
   private val wiring = graph.wiring
 
@@ -60,9 +57,6 @@ final class Runtime(
   private val srcValues: Array[Array[Any]] = nodes.map(i => input.values(i.id))
 
   def allInstances: Iterable[Instance]   = insts.values
-
-  private var pendingPlan: Option[RecoveryPlan] = None
-  private var failed = false
 
   // ------------------------------------------------------------------ setup
 
@@ -113,13 +107,12 @@ final class Runtime(
     case ProtocolTimer(tag, inst, payload) => protocol.onTimer(tag, inst, payload, clock)
     case UploadDone(meta) => protocol.onDurable(meta, clock)
     case InjectFailure => injectFailure()
-    case Resume        => resume()
+    case Resume(plan)  => resume(plan)
   }
 
   // ------------------------------------------------------------ processing
 
   private def tryStart(inst: Instance): Unit = {
-    if (failed) return
     if (!inst.isIdleAt(clock)) return // a Wake at busyUntil is always scheduled
     inst.pendingCkpt match {
       case Some(kind) =>
@@ -159,7 +152,9 @@ final class Runtime(
     val msg = inst.inbox(k).dequeue()
     msg.kind match {
       case Marker(round) =>
-        inst.busyUntil = clock + MarkerCostMicros
+        // Aligned checkpointing: input k waits until the protocol unblocks it.
+        inst.block(k)
+        inst.busyUntil = clock + SimConfig.MarkerCostMicros
         protocol.onMarker(inst, msg.channel, round, clock)
       case Data =>
         if (msg.seq <= inst.lastReceived(k)) {
@@ -191,7 +186,7 @@ final class Runtime(
     var busy = start + inst.spec.serviceMicros + extraCost
     if (inst.spec.isSink) {
       inst.logic.onRecord(value, fromOp, _ => ())
-      if (busy >= cfg.warmupMicros && busy <= cfg.endMicros) {
+      if (cfg.inWindow(busy)) {
         metrics.recordLatency(busy - srcTs)
         metrics.sinkRecords += 1
       }
@@ -235,7 +230,7 @@ final class Runtime(
     val piggy = protocol.piggybackFor(inst.id, ch, at)
     val msg = Msg(ch, seq, Data, value, Sizer.bytes(value), piggy, srcTs)
     val newBusy = at + SimConfig.serdeMicros(msg.wireBytes)
-    if (at >= cfg.warmupMicros && at <= cfg.endMicros) {
+    if (cfg.inWindow(at)) {
       metrics.dataBytes += Msg.FrameBytes + msg.payloadBytes
       metrics.dataMessages += 1
       metrics.protoBytes += msg.piggybackBytes
@@ -282,8 +277,11 @@ final class Runtime(
     inst.busyUntil = takenAt
     store.put(meta)
     queue.schedule(durableAt, UploadDone(meta))
-    if (meta.counted && takenAt >= cfg.warmupMicros && takenAt <= cfg.endMicros)
+    if (meta.counted && cfg.inWindow(takenAt)) {
       metrics.ckptSyncMicros += sync
+      metrics.countedCkpts += 1
+      if (kind == ForcedCkpt) metrics.forcedCkpts += 1
+    }
     protocol.onCheckpoint(inst, meta, takenAt)
   }
 
@@ -292,8 +290,7 @@ final class Runtime(
     val departure = math.max(clock, inst.busyUntil)
     for (k <- inst.outCh.indices) {
       val msg = Msg(inst.outCh(k), 0L, Marker(round), null, 0, None, departure)
-      if (departure >= cfg.warmupMicros && departure <= cfg.endMicros)
-        metrics.protoBytes += Msg.MarkerBytes
+      if (cfg.inWindow(departure)) metrics.protoBytes += Msg.MarkerBytes
       transmit(inst, k, msg, departure)
     }
   }
@@ -302,7 +299,7 @@ final class Runtime(
     queue.schedule(time, ProtocolTimer(tag, inst, payload))
 
   def addProtocolBytes(bytes: Long): Unit =
-    if (clock >= cfg.warmupMicros && clock <= cfg.endMicros) metrics.protoBytes += bytes
+    if (cfg.inWindow(clock)) metrics.protoBytes += bytes
 
   // ------------------------------------------------------ failure/recovery
 
@@ -318,16 +315,11 @@ final class Runtime(
     // Everything volatile dies: in-flight messages, timers, running uploads.
     queue.clear()
     insts.values.foreach(_.dropVolatile())
-    failed = true
-    pendingPlan = Some(plan)
-    queue.schedule(failTime + SimConfig.DetectMicros + plan.restartMicros, Resume)
+    queue.schedule(failTime + SimConfig.DetectMicros + plan.restartMicros, Resume(plan))
     metrics.lastLaggedAt = math.max(metrics.lastLaggedAt, failTime)
   }
 
-  private def resume(): Unit = {
-    val plan = pendingPlan.getOrElse(sys.error("resume without a recovery plan"))
-    pendingPlan = None
-    failed = false
+  private def resume(plan: RecoveryPlan): Unit = {
     insts.values.foreach { inst =>
       val meta = plan.line(inst.id)
       inst.logic.restore(meta.snapshot)

@@ -20,6 +20,8 @@ final case class SimConfig(
   def endMicros: Long = warmupMicros + runMicros
   /** Absolute failure instant, if any. */
   def failAbs: Option[Long] = failAtMicros.map(_ + warmupMicros)
+  /** Whether `t` lies in the measured window [warmup, end], the only one the metrics count. */
+  def inWindow(t: Long): Boolean = t >= warmupMicros && t <= endMicros
 }
 
 /** The calibrated cost model of the simulated testbed, one for every
@@ -49,6 +51,14 @@ object SimConfig {
   val SnapshotMicrosPerKb = 2.0
   /** Failure-detection delay (not part of restart time). */
   val DetectMicros = 1_000_000L
+  /** CPU cost to process one COOR marker. */
+  val MarkerCostMicros = 5L
+  /** Per-channel fetch handshake with the log store at restart. */
+  val ReplayFetchBaseMicros = 500L
+  /** Per-message replay preparation (deserialize, re-enqueue). */
+  val ReplayPrepPerMsgMicros = 3L
+  /** Modelled cost per checkpoint-graph node of the recovery-line search. */
+  val LineAlgoPerNodeMicros = 1L
   /** Master seed for all jittered protocol decisions. */
   val Seed = 42L
 
@@ -56,4 +66,8 @@ object SimConfig {
   def uploadMicros(bytes: Long): Long = StorePutMicros + math.round(bytes / 1024.0 * StoreMicrosPerKb)
   def snapshotMicros(bytes: Long): Long =
     SnapshotBaseMicros + math.round(bytes / 1024.0 * SnapshotMicrosPerKb)
+  /** Fetching and preparing one channel's replay of `msgs` messages, `bytes` in all. */
+  def replayMicros(bytes: Long, msgs: Int): Long =
+    ReplayFetchBaseMicros + math.round(bytes / 1024.0 * StoreMicrosPerKb) +
+      ReplayPrepPerMsgMicros * msgs
 }

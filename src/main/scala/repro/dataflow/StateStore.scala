@@ -1,6 +1,6 @@
 package repro.dataflow
 
-import repro.checkpoint.{CkptMeta, ForcedCkpt, InitialCkpt}
+import repro.checkpoint.CkptMeta
 import scala.collection.mutable
 
 /** Durable checkpoint store (the Minio substitute).
@@ -15,16 +15,12 @@ import scala.collection.mutable
   * order (the runtime's per-instance counter). The store holds only what a
   * later recovery can still use: protocols collect checkpoints below the
   * recovery line ([[collectBelow]]) and recovery drops those past it
-  * ([[dropAfter]]). What the tables count is tallied at [[put]], so
-  * collection never changes a count.
-  *
-  * @param countFrom  start of the window whose checkpoints [[counted]] tallies
-  * @param countUntil end of that window (both inclusive, on `takenAt`)
+  * ([[dropAfter]]). What the tables count is tallied in the run's
+  * metrics when the checkpoint is taken, so collection never changes a
+  * count.
   */
-final class StateStore(countFrom: Long = Long.MinValue, countUntil: Long = Long.MaxValue) {
+final class StateStore {
   private val byInstance = mutable.Map.empty[InstanceId, mutable.ArrayBuffer[CkptMeta]]
-  private var counted0 = 0L
-  private var forced0 = 0L
   private var collected0 = 0L
 
   def put(meta: CkptMeta): Unit = {
@@ -32,19 +28,8 @@ final class StateStore(countFrom: Long = Long.MinValue, countUntil: Long = Long.
     require(buf.isEmpty || buf.last.idx < meta.idx,
       s"checkpoints of ${meta.id} must arrive in idx order")
     buf += meta
-    if (meta.counted && meta.kind != InitialCkpt &&
-        meta.takenAt >= countFrom && meta.takenAt <= countUntil) {
-      counted0 += 1
-      if (meta.kind == ForcedCkpt) forced0 += 1
-    }
   }
 
-  /** Counted (source/stateful, non-initial) checkpoints ever put, taken in
-    * the window — Table III/IV's total.
-    */
-  def counted: Long = counted0
-  /** The forced (CIC) ones among [[counted]]. */
-  def forcedCounted: Long = forced0
   /** Checkpoints dropped by [[collectBelow]] (all durable when dropped):
     * recovery-line pricing still charges them as graph nodes.
     */

@@ -6,8 +6,9 @@ import scala.collection.mutable
   * into this; `Experiment.freeze` turns it into an [[repro.core.ExpResult]]
   * at the end of a run.
   *
-  * Byte counters and checkpoint statistics are gated to the measurement
-  * window [warmupStart, end] by the callers.
+  * Byte counters, sink latencies and checkpoint statistics cover only the
+  * measured window (`SimConfig.inWindow`): the writers test it, each where
+  * it knows the instant.
   */
 final class MetricsCollector {
   /** Payload + framing bytes of data messages sent in the window. */
@@ -26,6 +27,12 @@ final class MetricsCollector {
   /** A copy of the sink latencies, in recording order. */
   def latencies: Array[Long] = java.util.Arrays.copyOf(lat, nLatencies)
 
+  /** Counted (source/stateful) checkpoints taken in the window, rolled-back
+    * ones included — Table III/IV's total.
+    */
+  var countedCkpts: Long = 0L
+  /** The forced (CIC) ones among [[countedCkpts]]. */
+  var forcedCkpts: Long = 0L
   /** Synchronous checkpoint durations (UNC/CIC "checkpointing time"). */
   val ckptSyncMicros = mutable.ArrayBuffer.empty[Long]
   /** COOR: full round durations (its "checkpointing time"). */

@@ -2,7 +2,7 @@ package repro.checkpoint
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.{Recorder, SimTestKit}
-import repro.dataflow.{InstanceId, Runtime}
+import repro.dataflow.{InstanceId, Runtime, SimConfig}
 import repro.queries._
 
 /** Garbage collection of the checkpoint store and the message log: every
@@ -36,7 +36,7 @@ class GarbageCollectionSpec extends AnyFunSuite {
         }.sum
         assert(plan.invalidCounted == invalid)
         val nodes = ckpts.valuesIterator.map(_.size.toLong).sum
-        assert(plan.lineAlgoMicros == Recovery.LineAlgoPerNodeMicros * nodes)
+        assert(plan.lineAlgoMicros == SimConfig.LineAlgoPerNodeMicros * nodes)
         val ranges = for {
           meta <- line.values
           (ch, sent) <- tables.sentMap(meta)
